@@ -49,6 +49,8 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as e:
             raise SpecError(f"{path}: invalid JSON ({e})") from e
+        except RecursionError as e:
+            raise SpecError(f"{path}: JSON nests too deeply") from e
 
 
 def _parse_x(text: str) -> list[float]:

@@ -19,6 +19,7 @@ and results are reduced by value and then lexicographically smallest b.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -399,6 +400,27 @@ def _minimize_stdf(stdf: StdfModel, cfg: OptimizerConfig):
     return best.value, best.point, diag
 
 
+# log range of the normal floats, pulled in by far more than the round-off of
+# -alpha * log(v) so that a power passing the check cannot overflow
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
+_LOG_FLOAT_MIN = math.log(sys.float_info.min) + 1e-9
+
+
+def _neg_power(v: float, alpha: float, what: str, may_underflow: bool) -> float:
+    """``v ** (-alpha)`` for v > 0, range-checked in log space first.
+
+    Raises ``NumericalError`` when the result does not fit a float: above the
+    largest float, or (unless ``may_underflow``) below the smallest normal
+    one, where a maximizer entry would lose its precision or become 0.
+    """
+    log_r = -alpha * math.log(v)
+    if log_r > _LOG_FLOAT_MAX or (not may_underflow and log_r < _LOG_FLOAT_MIN):
+        raise NumericalError(
+            f"{what} = exp({log_r:.6g}) does not fit in a float (alpha={alpha:.6g})"
+        )
+    return v ** (-alpha)
+
+
 def archimax_mtcm(
     stdf: StdfModel,
     alpha: float,
@@ -411,6 +433,7 @@ def archimax_mtcm(
     Exchangeable l: closed form ``l(1_d) ** (-alpha)`` with maximizer 1_d.
     Otherwise l is minimized numerically over the unit-product set and the
     minimizer z maps to the maximizer through ``b_j = z_j ** (-alpha)``.
+    Powers that do not fit a float raise ``NumericalError``.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
@@ -424,8 +447,8 @@ def archimax_mtcm(
         return MtcmResult(lam, (1.0,) * d, "closed_archimax_exchangeable", _CLOSED_FORM_DIAG)
     cfg = config or OptimizerConfig()
     ell_min, z, diag = _minimize_stdf(stdf, cfg)
-    lam = ell_min ** (-alpha)
-    b = tuple(v ** (-alpha) for v in z)
+    lam = _neg_power(ell_min, alpha, "lambda*", True)
+    b = tuple(_neg_power(v, alpha, f"b*[{j}]", False) for j, v in enumerate(z))
     return MtcmResult(lam, b, "optimizer", diag)
 
 

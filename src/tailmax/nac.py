@@ -26,6 +26,10 @@ from .errors import EvaluationError, SpecError
 
 __all__ = ["NacTree", "NestingReport"]
 
+# the tree walkers recurse once per level; deeper trees are rejected at
+# parse time so that no walker can exhaust the interpreter's stack
+MAX_TREE_DEPTH = 200
+
 
 @dataclass(frozen=True)
 class NestingReport:
@@ -139,9 +143,11 @@ class NacTree:
         children: list[list[int]] = []
         raw_labels: list[int | None] = []
 
-        def walk(n: Mapping, p: str) -> int:
+        def walk(n: Mapping, p: str, depth: int) -> int:
             if not isinstance(n, Mapping):
                 raise SpecError(f"{p}: expected an object, got {type(n).__name__}")
+            if depth > MAX_TREE_DEPTH:
+                raise SpecError(f"{path}: tree is deeper than {MAX_TREE_DEPTH} levels")
             v = len(alpha)
             alpha.append(None)
             children.append([])
@@ -159,7 +165,7 @@ class NacTree:
                 if not isinstance(kids, Sequence) or isinstance(kids, (str, bytes)):
                     raise SpecError(f"{p}.children: expected a list")
                 for i, kid in enumerate(kids):
-                    children[v].append(walk(kid, f"{p}.children[{i}]"))
+                    children[v].append(walk(kid, f"{p}.children[{i}]", depth + 1))
             else:
                 label = n.get("leaf")
                 if label is not None:
@@ -171,7 +177,7 @@ class NacTree:
                     raise SpecError(f"{p}: unknown leaf keys {sorted(extra)}")
             return v
 
-        walk(node, path)
+        walk(node, path, 0)
 
         leaf_vertices = [v for v in range(len(alpha)) if not children[v]]
         labeled = [raw_labels[v] for v in leaf_vertices if raw_labels[v] is not None]

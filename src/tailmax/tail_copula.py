@@ -6,7 +6,12 @@ x_j``.  Five routes are implemented:
 
 * ``SurvivalEvc``: survival copula of an extreme value copula with stable tail
   dependence function l, via the alternating sum of sub-vector margins
-  ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``;
+  ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``.  The sum is routed by the
+  type of l: Marshall-Olkin collapses to ``min_j a_j x_j`` (the linear part
+  cancels, and max-min inclusion-exclusion turns the max part into a min), a
+  mixture splits into its components (the sum is linear in l), and a scalar
+  logistic evaluation walks the subsets with running power sums; every other
+  l sums the ``2^d - 1`` margins directly;
 * ``Archimax``: generator with regular-variation index a > 0 plus an l,
   ``L(x) = l(x_1**(-1/a), ..., x_d**(-1/a)) ** (-a)``;
 * ``Archimedean``: the l = sum special case,
@@ -29,7 +34,7 @@ import numpy as np
 
 from .errors import EvaluationError, NumericalError, SpecError
 from .nac import NacTree
-from .stdf import StdfModel, _check_param
+from .stdf import Logistic, MarshallOlkin, Mixture, StdfModel, _check_param
 
 __all__ = [
     "TailCopulaModel",
@@ -42,6 +47,7 @@ __all__ = [
 ]
 
 MAX_SUBSET_DIM = 20  # the alternating sum has 2^d - 1 terms
+MAX_TRANSFORM_DEPTH = 200  # generator descriptors are resolved recursively
 
 # round-off from the alternating sum: clamp small negatives, reject anything
 # clearly beyond accumulated floating-point error
@@ -94,6 +100,120 @@ def _gray_schedule(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _gray_sum(ell, xs: list[float]) -> float:
+    """Alternating sum of the margins of ``ell`` at one point.
+
+    Terms are accumulated with Neumaier-compensated summation in Gray-code
+    order, reusing one masked point, because the sum cancels almost completely
+    when l is close to independence.
+    """
+    d = len(xs)
+    y = [0.0] * d
+    s = 0.0
+    comp = 0.0
+    for j, sign in _gray_schedule(d):
+        y[j] = xs[j] if y[j] == 0.0 else 0.0
+        term = ell(y)
+        if sign < 0:
+            term = -term
+        t = s + term
+        if abs(s) >= abs(term):
+            comp += (s - t) + term
+        else:
+            comp += (term - t) + s
+        s = t
+    return s + comp
+
+
+def _gray_sum_batch(ell, X: np.ndarray) -> np.ndarray:
+    """Row-wise ``_gray_sum`` over an (n, d) array."""
+    n, d = X.shape
+    Y = np.zeros_like(X)
+    active = [False] * d
+    s = np.zeros(n)
+    comp = np.zeros(n)
+    for j, sign in _gray_schedule(d):
+        active[j] = not active[j]
+        Y[:, j] = X[:, j] if active[j] else 0.0
+        term = ell(Y)
+        if sign < 0:
+            term = -term
+        t = s + term
+        comp += np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
+        s = t
+    return s + comp
+
+
+def _logistic_terms(x: list[float], s: float):
+    """Signed terms ``(-1)^(|S|-1) l_S(x)`` of the logistic alternating sum.
+
+    ``x`` is sorted in descending order and positive.  The subsets whose
+    largest coordinate is x_i are walked depth-first over the later
+    coordinates, keeping the running sum ``1 + sum_{j in S} (x_j / x_i)^s``
+    for each level, so a subset costs one add and one power:
+    ``l_S(x) = x_i * (running sum) ** (1/s)``.  Memory is O(d).
+    """
+    inv = 1.0 / s
+    d = len(x)
+    pos = [0] * d  # pos[:t]: chosen indices into ``r``, increasing
+    acc = [1.0] * d  # acc[t]: 1 plus the ratios at pos[:t]
+    for i in range(d):
+        xi = x[i]
+        yield xi
+        m = d - 1 - i
+        if not m:
+            return
+        r = [(v / xi) ** s for v in x[i + 1:]]
+        neg = -xi
+        t = 1
+        pos[0] = 0
+        acc[1] = 1.0 + r[0]
+        while True:
+            yield (neg if t & 1 else xi) * acc[t] ** inv
+            k = pos[t - 1] + 1
+            if k < m:  # descend: append the next index
+                pos[t] = k
+                acc[t + 1] = acc[t] + r[k]
+                t += 1
+            else:  # the last index is taken: drop it, advance the one before
+                t -= 1
+                if not t:
+                    break
+                k = pos[t - 1] + 1
+                pos[t - 1] = k
+                acc[t] = acc[t - 1] + r[k]
+
+
+def _survival_sum(stdf: StdfModel, x, batch: bool):
+    """Alternating margin sum of ``stdf`` at one point (a list) or row-wise
+    over an (n, d) array, unclamped.
+
+    Routed by the exact type of ``stdf``, since a subclass may change
+    ``_value`` and with it the identity; ``SurvivalEvc`` lists the routes.
+    The Marshall-Olkin identity holds on the closed box [0, 1]^d: each x_j
+    of the linear part appears in subsets whose signs sum to 0, and max-min
+    inclusion-exclusion turns the max part into the min.
+    """
+    kind = type(stdf)
+    if kind is MarshallOlkin:
+        if batch:
+            return (x * np.asarray(stdf.alpha)).min(axis=1)
+        return min(a * v for a, v in zip(stdf.alpha, x))
+    if kind is Mixture:
+        w = stdf.weight
+        return w * _survival_sum(stdf.first, x, batch) + (1.0 - w) * _survival_sum(
+            stdf.second, x, batch
+        )
+    if batch:
+        return _gray_sum_batch(stdf._value_batch, x)
+    if kind is Logistic:
+        xs = sorted(x, reverse=True)
+        if xs[-1] == 0.0:  # L <= min x; also keeps the ratios finite
+            return 0.0
+        return math.fsum(_logistic_terms(xs, stdf.s))
+    return _gray_sum(stdf._value, x)
+
+
 @dataclass(frozen=True)
 class TailCopulaModel:
     """Base class; concrete models implement ``_value``/``_value_batch``."""
@@ -139,9 +259,20 @@ class TailCopulaModel:
 class SurvivalEvc(TailCopulaModel):
     """Survival route: alternating sum of the 2^d - 1 sub-vector margins.
 
-    Terms are accumulated with Neumaier-compensated summation in Gray-code
-    order, reusing one masked point, because the sum cancels almost completely
-    when l is close to independence.
+    Which l skip the blind sum, and why (see ``_survival_sum``):
+
+    * Marshall-Olkin: ``L(x) = min_j a_j x_j`` in O(d), because the linear
+      part of l cancels and max-min inclusion-exclusion turns the max part
+      into the min;
+    * a mixture ``w l_1 + (1-w) l_2``: ``w L_1 + (1-w) L_2``, because the sum
+      is linear in l;
+    * logistic, scalar path: the same 2^d - 1 margins, but built from running
+      power sums over the sorted coordinates, one power per margin instead
+      of d, and summed exactly with ``math.fsum``.
+
+    Every other l (Tawn, independence, comonotone, subclasses, and logistic
+    on the batch path) sums its margins in Gray-code order with
+    Neumaier-compensated summation.
     """
 
     stdf: StdfModel
@@ -169,41 +300,10 @@ class SurvivalEvc(TailCopulaModel):
         return total
 
     def _value(self, xs: list[float]) -> float:
-        d = len(xs)
-        y = [0.0] * d
-        s = 0.0
-        comp = 0.0
-        ell = self.stdf._value
-        for j, sign in _gray_schedule(d):
-            y[j] = xs[j] if y[j] == 0.0 else 0.0
-            term = ell(y)
-            if sign < 0:
-                term = -term
-            t = s + term
-            if abs(s) >= abs(term):
-                comp += (s - t) + term
-            else:
-                comp += (term - t) + s
-            s = t
-        return self._finish(s + comp, math.fsum(xs))
+        return self._finish(_survival_sum(self.stdf, xs, False), math.fsum(xs))
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        n, d = X.shape
-        Y = np.zeros_like(X)
-        active = [False] * d
-        s = np.zeros(n)
-        comp = np.zeros(n)
-        ell = self.stdf._value_batch
-        for j, sign in _gray_schedule(d):
-            active[j] = not active[j]
-            Y[:, j] = X[:, j] if active[j] else 0.0
-            term = ell(Y)
-            if sign < 0:
-                term = -term
-            t = s + term
-            comp += np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
-            s = t
-        total = s + comp
+        total = _survival_sum(self.stdf, X, True)
         scale = np.maximum(1.0, X.sum(axis=1))
         bad = total < -_CLAMP_REL * scale
         if np.any(bad):
@@ -370,7 +470,7 @@ def rv_index(descriptor: Mapping) -> float:
     * ``{"kind": "shifted_clayton", "theta": t, "h": h}``
       (h >= 0; h does not enter the index)          -> 1/t
     """
-    return _rv_index(descriptor, "generator")
+    return _rv_index(descriptor, "generator", 0)
 
 
 def _rv_num(desc: Mapping, key: str, path: str) -> float:
@@ -382,9 +482,11 @@ def _rv_num(desc: Mapping, key: str, path: str) -> float:
     return float(v)
 
 
-def _rv_index(desc: Mapping, path: str) -> float:
+def _rv_index(desc: Mapping, path: str, depth: int) -> float:
     if not isinstance(desc, Mapping):
         raise SpecError(f"{path}: expected an object, got {type(desc).__name__}")
+    if depth > MAX_TRANSFORM_DEPTH:
+        raise SpecError(f"transforms nest deeper than {MAX_TRANSFORM_DEPTH} levels")
     kind = desc.get("kind")
     if kind == "clayton":
         theta = _rv_num(desc, "theta", path)
@@ -395,12 +497,12 @@ def _rv_index(desc: Mapping, path: str) -> float:
         gamma = _rv_num(desc, "gamma", path)
         if not 0.0 < gamma <= 1.0:
             raise SpecError(f"{path}.gamma: must be in (0, 1], got {gamma}")
-        return _rv_index(desc.get("base"), f"{path}.base") / gamma
+        return _rv_index(desc.get("base"), f"{path}.base", depth + 1) / gamma
     if kind == "outer_power":
         beta = _rv_num(desc, "beta", path)
         if beta < 1.0:
             raise SpecError(f"{path}.beta: must be >= 1, got {beta}")
-        return _rv_index(desc.get("base"), f"{path}.base") / beta
+        return _rv_index(desc.get("base"), f"{path}.base", depth + 1) / beta
     if kind == "tilted_clayton":
         theta = _rv_num(desc, "theta", path)
         beta = _rv_num(desc, "beta", path)

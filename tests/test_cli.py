@@ -226,6 +226,46 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+def test_archimax_power_beyond_float_range_is_numerical_failure(write_json, capsys):
+    spec = {"family": "archimax", "dimension": 3, "params": {"stdf": MO_SPEC, "alpha": 1e300}}
+    path = write_json("arch.json", spec)
+    code, out, err = run(capsys, "mtcm", "--model", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("numerical failure: ") and "does not fit in a float" in err
+    assert err.count("\n") == 1
+
+
+def _deep_tree_text(depth):
+    return '{"alpha": 1.0, "children": [{"leaf": 1}, ' * depth + '{"leaf": 1}' + "]}" * depth
+
+
+def _deep_generator_text(depth):
+    head = '{"family": "archimedean", "dimension": 3, "params": {"generator": '
+    chain = '{"kind": "outer_power", "beta": 1.0, "base": ' * depth
+    chain += '{"kind": "clayton", "theta": 1.0}' + "}" * depth
+    return head + chain + "}}"
+
+
+@pytest.mark.parametrize(
+    "command, text, fragment",
+    [
+        ("nac", _deep_tree_text(3000), "nests too deeply"),
+        ("nac", _deep_tree_text(250), "deeper than 200 levels"),
+        ("mtcm", _deep_generator_text(300), "deeper than 200 levels"),
+    ],
+)
+def test_deeply_nested_input_is_usage_error(tmp_path, capsys, command, text, fragment):
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    flag = "--tree" if command == "nac" else "--model"
+    code, out, err = run(capsys, command, flag, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_family_is_usage_error(write_json, capsys):
     path = write_json("weird.json", {"family": "frankenstein", "dimension": 2})
     code, _, err = run(capsys, "mtcm", "--model", path)

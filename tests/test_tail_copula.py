@@ -36,6 +36,8 @@ TC_MODELS = [
     Archimedean(0.7, 3),
     NacCopula(NacTree.from_dict({"alpha": 2.0, "children": [{"leaf": 1}, {"alpha": 1.0, "children": [{"leaf": 2}, {"leaf": 3}]}]})),
     MixtureTail(0.4, Archimedean(0.5, 3), SurvivalEvc(Logistic(2.0, 3))),
+    SurvivalEvc(Mixture(0.4, MarshallOlkin((0.3, 0.6, 0.8, 0.5)), MarshallOlkin((0.7, 0.2, 0.4, 0.9)))),
+    SurvivalEvc(Logistic(1.8, 6)),
 ]
 
 
@@ -96,6 +98,14 @@ def test_survival_mo_equals_min_closed_form():
         TawnTypeI(s=2.48, r=1.0, theta=(1.0, 1.0, 0.25)),
         TawnTypeII(s=1.69, r=1.25, t=7.44, phi=0.74),
         Mixture(0.5, Logistic(3.0, 4), MarshallOlkin((0.4, 0.2, 0.9, 0.6))),
+        *(Logistic(s, d) for d in (5, 6, 8) for s in (1.0, 200.0)),
+        MarshallOlkin.with_boundary((0.0, 1.0, 0.5, 1.0)),
+        MarshallOlkin.with_boundary((1.0, 1.0, 1.0)),
+        Mixture(
+            0.3,
+            Mixture(0.6, MarshallOlkin((0.2, 0.5, 0.8)), Logistic(2.5, 3)),
+            Mixture(0.5, TawnTypeI(s=7.44, r=2.21, theta=(0.23, 0.23, 0.55)), MarshallOlkin((0.7, 0.4, 0.3))),
+        ),
     ],
 )
 def test_survival_route_matches_naive_subset_sum(stdf):
@@ -170,6 +180,10 @@ def test_zero_coordinate_gives_zero(model):
     x = [1.0] * model.dim
     x[0] = 0.0
     assert model.value(x) == 0.0
+    if isinstance(model, SurvivalEvc):
+        # the search calls _value without the zero check, and exp can underflow there
+        x[1] = math.exp(-800.0)
+        assert 0.0 <= model._value(x) <= 1e-15
 
 
 @pytest.mark.parametrize("model", TC_MODELS)
