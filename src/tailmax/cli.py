@@ -95,7 +95,12 @@ def _add_common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
 
 
 def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--starts", type=int, help="number of random starts (plus the diagonal)")
+    p.add_argument(
+        "--starts",
+        type=int,
+        help="number of random starts (plus the diagonal) of the direct search; "
+        "non-exchangeable Archimax runs the diagonal start only",
+    )
     p.add_argument("--seed", type=int, help=f"search seed (default: ${_ENV_SEED} or {DEFAULT_SEED})")
     p.add_argument("--max-evals", type=int, dest="max_evals", help="evaluation budget per start")
     p.add_argument("--range-log", type=float, dest="range_log", help="half-width of the start box")

@@ -5,10 +5,13 @@ Routes, tightest first:
 
 * exact closed forms (survival Marshall-Olkin; exchangeable Archimax;
   nested Archimedean trees);
-* a multi-start Nelder-Mead search in log coordinates ``x in R^(d-1)`` with
+* one Nelder-Mead search core in log coordinates ``x in R^(d-1)`` with
   ``b = (e^{x_1}, ..., e^{x_{d-1}}, e^{-sum x})``, pruned by the min bound
   ``L(b) <= min_j b_j`` (any iterate whose smallest component is below the
-  running best value cannot win);
+  running best value cannot win).  The direct search runs it on the tail
+  copula from the diagonal plus random starts.  Non-exchangeable Archimax
+  runs it on ``h(b) = 1 / l(1/b)`` from the diagonal alone: ``x -> l(e^x)``
+  is convex, so that problem has no other local optimum;
 * a brute-force two-stage grid oracle used to verify the search.
 
 All searches are deterministic for a fixed seed: start points come from a
@@ -66,12 +69,15 @@ _ORACLE_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the multi-start simplex search.
+    """Knobs of the simplex search.
 
     ``starts`` counts the random starts; the deterministic start at the
     diagonal (x = 0) always runs in addition.  Random starts are uniform over
     ``[-range_log, range_log]^(d-1)``.  ``tol`` is the simplex-diameter
     stopping rule; the function-spread rule is fixed at 1e-12.
+    Non-exchangeable Archimax runs the diagonal start only, since its problem
+    is convex: ``max_evals`` and ``tol`` apply there, while ``starts``,
+    ``seed`` and ``range_log`` tune the direct search only.
     """
 
     starts: int = 16
@@ -271,38 +277,26 @@ def _nelder_mead(f, x0: np.ndarray, cfg: OptimizerConfig):
     return res, diam
 
 
-def _reduce(cands: list[_Candidate], maximize: bool) -> _Candidate:
-    if maximize:
-        vbest = max(c.value for c in cands)
-        tied = [c for c in cands if c.value >= vbest - _TIE_TOL]
-    else:
-        vbest = min(c.value for c in cands)
-        tied = [c for c in cands if c.value <= vbest + _TIE_TOL]
-    return min(tied, key=lambda c: c.point)
+def _maximize(value, d: int, cfg: OptimizerConfig, starts: list[np.ndarray]):
+    """Maximize ``value`` over the unit-product set; ``value`` maps a positive
+    point ``b`` (a list) to a number in ``[0, min_j b_j]``.
 
+    One simplex search per start point, in log coordinates.  Each start keeps
+    its own running best value, seeds it with the diagonal value, and rejects
+    iterates whose smallest component already falls below it (the min bound
+    makes them hopeless); rejected iterates get a sloped surrogate so the
+    simplex walks back toward the feasible box.  The starts reduce by value,
+    ties then by the lexicographically smallest point.
 
-def optimize(model: TailCopulaModel, config: OptimizerConfig | None = None) -> MtcmResult:
-    """Maximize the model's tail copula over the unit-product set.
-
-    Multi-start derivative-free simplex search in log coordinates.  Each start
-    keeps its own running best value, seeds it with the diagonal value, and
-    rejects iterates whose smallest component already falls below it (the min
-    bound makes them hopeless); rejected iterates get a sloped surrogate so
-    the simplex walks back toward the feasible box.
+    Returns ``(value, point, diagnostics)``.  A maximum below the degeneracy
+    threshold counts as converged: there is no direction to converge to.
     """
-    if not isinstance(model, TailCopulaModel):
-        raise SpecError("model must be a TailCopulaModel")
-    d = model.dim
-    if d < 2:
-        raise EvaluationError("optimization needs dimension >= 2")
-    cfg = config or OptimizerConfig()
-
     ones = (1.0,) * d
-    v0 = model.value(ones)
+    v0 = value([1.0] * d)
     total_evals = 1
     candidates: list[_Candidate] = []
 
-    for si, x0 in enumerate(_start_points(d - 1, cfg)):
+    for si, x0 in enumerate(starts):
         state = {"cut": v0, "best_val": v0, "best_b": ones}
 
         def fobj(x, _state=state):
@@ -317,7 +311,7 @@ def optimize(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
                 return 1.0 + (mx - 500.0)
             b = [math.exp(v) for v in xs]
             b.append(math.exp(xd))
-            val = model._value(b)
+            val = value(b)
             if val > _state["best_val"]:
                 _state["best_val"] = val
                 _state["best_b"] = tuple(b)
@@ -331,109 +325,72 @@ def optimize(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
             _Candidate(state["best_val"], state["best_b"], si, bool(res.success), diam)
         )
 
-    best = _reduce(candidates, maximize=True)
-    if best.value < _DEGENERACY_EPS:
-        # a degenerate tail copula has no meaningful direction
-        diag = Diagnostics(
-            starts_used=len(candidates),
-            best_start=best.start,
-            function_evals=total_evals,
-            converged=True,
-            final_step=best.final_step,
-        )
-        return MtcmResult(0.0, ones, "optimizer", diag)
+    vbest = max(c.value for c in candidates)
+    best = min((c for c in candidates if c.value >= vbest - _TIE_TOL), key=lambda c: c.point)
     diag = Diagnostics(
         starts_used=len(candidates),
         best_start=best.start,
         function_evals=total_evals,
-        converged=best.success,
-        final_step=best.final_step,
-    )
-    return MtcmResult(best.value, best.point, "optimizer", diag)
-
-
-def _minimize_stdf(stdf: StdfModel, cfg: OptimizerConfig):
-    """Minimize a stable tail dependence function over the unit-product set.
-
-    Mirror image of ``optimize``: here ``l(z) >= max_j z_j`` prunes iterates
-    whose largest component already exceeds the running best value.
-    """
-    d = stdf.dim
-    ones = (1.0,) * d
-    u0 = stdf.value(ones)
-    total_evals = 1
-    candidates: list[_Candidate] = []
-
-    for si, x0 in enumerate(_start_points(d - 1, cfg)):
-        state = {"cut": u0, "best_val": u0, "best_z": ones}
-
-        def fobj(x, _state=state):
-            xs = x.tolist()
-            xd = -sum(xs)
-            mx = max(max(xs), xd)
-            if mx > math.log(_state["cut"]):
-                return math.exp(min(mx, 500.0))
-            z = [math.exp(v) for v in xs]
-            z.append(math.exp(xd))
-            val = stdf._value(z)
-            if val < _state["best_val"]:
-                _state["best_val"] = val
-                _state["best_z"] = tuple(z)
-                if val < _state["cut"]:
-                    _state["cut"] = val
-            return val
-
-        res, diam = _nelder_mead(fobj, x0, cfg)
-        total_evals += res.nfev
-        candidates.append(
-            _Candidate(state["best_val"], state["best_z"], si, bool(res.success), diam)
-        )
-
-    best = _reduce(candidates, maximize=False)
-    diag = Diagnostics(
-        starts_used=len(candidates),
-        best_start=best.start,
-        function_evals=total_evals,
-        converged=best.success,
+        converged=best.success or best.value < _DEGENERACY_EPS,
         final_step=best.final_step,
     )
     return best.value, best.point, diag
 
 
+def optimize(model: TailCopulaModel, config: OptimizerConfig | None = None) -> MtcmResult:
+    """Maximize the model's tail copula over the unit-product set by the
+    multi-start simplex search: the diagonal plus ``config.starts`` random
+    starts (see ``OptimizerConfig``).
+    """
+    if not isinstance(model, TailCopulaModel):
+        raise SpecError("model must be a TailCopulaModel")
+    d = model.dim
+    if d < 2:
+        raise EvaluationError("optimization needs dimension >= 2")
+    cfg = config or OptimizerConfig()
+    lam, b, diag = _maximize(model._value, d, cfg, _start_points(d - 1, cfg))
+    if lam < _DEGENERACY_EPS:
+        # a degenerate tail copula has no meaningful direction
+        return MtcmResult(0.0, (1.0,) * d, "optimizer", diag)
+    return MtcmResult(lam, b, "optimizer", diag)
+
+
 # log range of the normal floats, pulled in by far more than the round-off of
-# -alpha * log(v) so that a power passing the check cannot overflow
+# alpha * log(v) so that a power passing the check cannot overflow
 _LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9
 _LOG_FLOAT_MIN = math.log(sys.float_info.min) + 1e-9
 
 
-def _neg_power(v: float, alpha: float, what: str, may_underflow: bool) -> float:
-    """``v ** (-alpha)`` for v > 0, range-checked in log space first.
+def _power(v: float, alpha: float, what: str, may_underflow: bool) -> float:
+    """``v ** alpha`` for v > 0, range-checked in log space first.
 
     Raises ``NumericalError`` when the result does not fit a float: above the
     largest float, or (unless ``may_underflow``) below the smallest normal
     one, where a maximizer entry would lose its precision or become 0.
     """
-    log_r = -alpha * math.log(v)
+    log_r = alpha * math.log(v)
     if log_r > _LOG_FLOAT_MAX or (not may_underflow and log_r < _LOG_FLOAT_MIN):
         raise NumericalError(
             f"{what} = exp({log_r:.6g}) does not fit in a float (alpha={alpha:.6g})"
         )
-    return v ** (-alpha)
+    return v ** alpha
 
 
 def archimax_mtcm(
-    stdf: StdfModel,
-    alpha: float,
-    exchangeable: bool | None = None,
-    config: OptimizerConfig | None = None,
+    stdf: StdfModel, alpha: float, config: OptimizerConfig | None = None
 ) -> MtcmResult:
     """Maximal tail concordance of the Archimax model built from ``stdf`` and
     a generator with regular-variation index ``alpha``.
 
     Exchangeable l: closed form ``l(1_d) ** (-alpha)`` with maximizer 1_d.
-    Otherwise l is minimized numerically over the unit-product set and the
-    minimizer z maps to the maximizer through ``b_j = z_j ** (-alpha)``.
-    Powers that do not fit a float raise ``NumericalError``.
+    Otherwise the tail copula is ``L(b) = h(b ** (1/alpha)) ** alpha`` with
+    ``h(b) = 1 / l(1/b)``, which is nondecreasing and at most ``min_j b_j``
+    (as ``l(z) >= max_j z_j``); so ``h`` goes through the pruned search of
+    ``optimize`` and ``lambda* = (max h) ** alpha``, ``b* = b_h ** alpha``.
+    Since ``max h = 1 / min l`` and ``x -> l(e^x)`` is convex, the search
+    runs from the diagonal alone: ``config.tol`` and ``config.max_evals``
+    apply, ``starts``, ``seed`` and ``range_log`` do not.  Powers that do not
+    fit a float raise ``NumericalError``.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
@@ -441,14 +398,15 @@ def archimax_mtcm(
     if not isinstance(stdf, StdfModel):
         raise SpecError("stdf must be an StdfModel")
     d = stdf.dim
-    exch = is_exchangeable(stdf) if exchangeable is None else bool(exchangeable)
-    if exch:
+    if is_exchangeable(stdf):
         lam = stdf.value([1.0] * d) ** (-alpha)
         return MtcmResult(lam, (1.0,) * d, "closed_archimax_exchangeable", _CLOSED_FORM_DIAG)
-    cfg = config or OptimizerConfig()
-    ell_min, z, diag = _minimize_stdf(stdf, cfg)
-    lam = _neg_power(ell_min, alpha, "lambda*", True)
-    b = tuple(_neg_power(v, alpha, f"b*[{j}]", False) for j, v in enumerate(z))
+    ell = stdf._value
+    h_max, b_h, diag = _maximize(
+        lambda b: 1.0 / ell([1.0 / v for v in b]), d, config or OptimizerConfig(), [np.zeros(d - 1)]
+    )
+    lam = _power(h_max, alpha, "lambda*", True)
+    b = tuple(_power(v, alpha, f"b*[{j}]", False) for j, v in enumerate(b_h))
     return MtcmResult(lam, b, "optimizer", diag)
 
 
@@ -534,8 +492,8 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
 
     Survival Marshall-Olkin (parameters strictly inside the unit box) and
     nested Archimedean trees get closed forms; Archimax and Archimedean go
-    through the exchangeability shortcut or the l-minimization; everything
-    else runs the direct search.
+    through ``archimax_mtcm`` (closed form when l is exchangeable, else one
+    start from the diagonal); everything else runs the direct search.
     """
     if isinstance(model, SurvivalEvc) and isinstance(model.stdf, MarshallOlkin):
         a = model.stdf.alpha
@@ -547,7 +505,7 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
         b = tuple(float(v) for v in model.tree.maximizer())
         return MtcmResult(lam, b, "closed_nac", _CLOSED_FORM_DIAG)
     if isinstance(model, Archimedean):
-        return archimax_mtcm(Independence(model.dim), model.alpha, exchangeable=True)
+        return archimax_mtcm(Independence(model.dim), model.alpha)
     if isinstance(model, Archimax):
-        return archimax_mtcm(model.stdf, model.alpha, None, config)
+        return archimax_mtcm(model.stdf, model.alpha, config)
     return optimize(model, config)

@@ -1,8 +1,11 @@
 """Command-line interface: outputs, schemas, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tailmax import parse_tail_copula, to_spec
 from tailmax.cli import main
@@ -234,6 +237,67 @@ def test_archimax_power_beyond_float_range_is_numerical_failure(write_json, caps
     assert out == ""
     assert err.startswith("numerical failure: ") and "does not fit in a float" in err
     assert err.count("\n") == 1
+
+
+# parameters on or next to the edge of their range, mixed with ordinary ones
+_UNIT = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 2.0 ** -53, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_EXPONENT = st.one_of(
+    st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1e300]),
+    st.floats(min_value=1.0, max_value=50.0),
+)
+
+
+@st.composite
+def _stdf_spec(draw, d, depth=0):
+    kinds = ["marshall_olkin", "logistic"] + (["tawn1", "tawn2"] if d == 3 else [])
+    if depth < 2:
+        kinds.append("mixture")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "marshall_olkin":
+        params = {"alpha": draw(st.lists(_UNIT, min_size=d, max_size=d))}
+    elif kind == "logistic":
+        params = {"s": draw(_EXPONENT)}
+    elif kind == "tawn1":
+        params = {"s": draw(_EXPONENT), "r": draw(_EXPONENT),
+                  "theta": draw(st.lists(_UNIT, min_size=3, max_size=3))}
+    elif kind == "tawn2":
+        params = {"s": draw(_EXPONENT), "r": draw(_EXPONENT), "t": draw(_EXPONENT),
+                  "phi": draw(_UNIT)}
+    else:
+        params = {"weight": draw(_UNIT),
+                  "components": [draw(_stdf_spec(d, depth + 1)), draw(_stdf_spec(d, depth + 1))]}
+    return {"family": kind, "dimension": d, "params": params}
+
+
+@st.composite
+def _archimax_spec(draw):
+    d = draw(st.integers(min_value=2, max_value=6))
+    alpha = draw(st.one_of(
+        st.sampled_from([1e-300, 1.0, 1e300]),
+        st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
+    ))
+    return {"family": "archimax", "dimension": d,
+            "params": {"stdf": draw(_stdf_spec(d)), "alpha": alpha}}
+
+
+@given(spec=_archimax_spec())
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_archimax_mtcm_cli_contract(write_json, capsys, spec):
+    path = write_json("arch.json", spec)
+    code, out, err = run(capsys, "mtcm", "--model", path, "--format", "json")
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    if code == 0:
+        result = json.loads(out)["result"]
+        b = result["b_star"]
+        assert abs(math.fsum(math.log(v) for v in b)) <= 1e-10
+        assert result["lambda_star"] <= min(b) + 1e-10
+    if code == 1 and "does not fit in a float" in err:
+        assert f"(alpha={spec['params']['alpha']:.6g})" in err
 
 
 def _deep_tree_text(depth):

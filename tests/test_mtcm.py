@@ -15,6 +15,7 @@ from tailmax import (
     Independence,
     Logistic,
     MarshallOlkin,
+    Mixture,
     MixtureTail,
     MtcmResult,
     NacCopula,
@@ -119,6 +120,43 @@ def test_archimax_asymmetric_route_vs_oracle():
     assert abs(r.lambda_star - o.lambda_star) <= 1e-3
     # the maximizer must actually attain the value
     assert abs(model.value(r.b_star) - r.lambda_star) <= 1e-9
+
+
+def _non_exchangeable_archimax_cases():
+    rng = np.random.default_rng(2031)
+
+    def mo(d):
+        return MarshallOlkin(tuple(rng.uniform(0.05, 0.95, d)))
+
+    stdfs = []
+    for d in (3, 4):
+        stdfs += [
+            mo(d),
+            Mixture(rng.uniform(0.1, 0.9), Logistic(rng.uniform(1.0, 4.0), d), mo(d)),
+            Mixture(rng.uniform(0.1, 0.9), mo(d), mo(d)),
+        ]
+    for _ in range(2):
+        stdfs.append(TawnTypeI(s=rng.uniform(1.0, 8.0), r=rng.uniform(1.0, 3.0),
+                               theta=tuple(rng.uniform(0.0, 1.0, 3))))
+        stdfs.append(TawnTypeII(s=rng.uniform(1.0, 4.0), r=rng.uniform(1.01, 3.0),
+                                t=rng.uniform(1.0, 8.0), phi=rng.uniform(0.0, 1.0)))
+    return [
+        pytest.param(stdf, float(rng.uniform(0.3, 2.5)), id=f"{type(stdf).__name__}-d{stdf.dim}-{i}")
+        for i, stdf in enumerate(stdfs)
+    ]
+
+
+@pytest.mark.parametrize("stdf, alpha", _non_exchangeable_archimax_cases())
+def test_archimax_single_start_matches_direct_search(stdf, alpha):
+    # x -> l(e^x) is convex, so one start from the diagonal finds the maximum
+    # that the multi-start search of the tail copula itself finds
+    assert not is_exchangeable(stdf)
+    r = archimax_mtcm(stdf, alpha)
+    assert r.method == "optimizer"
+    assert r.diagnostics.starts_used == 1
+    direct = optimize(Archimax(stdf, alpha), OptimizerConfig(starts=8))
+    assert abs(r.lambda_star - direct.lambda_star) <= 1e-7
+    assert abs(Archimax(stdf, alpha).value(r.b_star) - r.lambda_star) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
