@@ -14,6 +14,16 @@ Routes, tightest first:
   is convex, so that problem has no other local optimum;
 * a brute-force two-stage grid oracle used to verify the search.
 
+The simplex (``_nelder_mead``) is a short Nelder-Mead on Python float lists
+with scipy's fixed coefficients (reflection 1, expansion 2, contraction 1/2,
+shrink 1/2) and its stopping and budget rules, so it takes scipy's iterates.
+It orders vertices with a stable sort: among equal values the earlier vertex
+stays first.  scipy's numpy ``argsort`` may reorder ties among 4 or more
+values on hosts with AVX-512 sorting, and pruned vertices that share their
+smallest coordinate tie often.  So from d = 4 on (4 or more vertices)
+results can differ from scipy's, only through that tie order and at the
+``tol`` level; on the benchmark's models this shows at d = 5 and 6 only.
+
 All searches are deterministic for a fixed seed: start points come from a
 seeded generator, each start's pruning state is independent of the others,
 and results are reduced by value and then lexicographically smallest b.
@@ -21,13 +31,13 @@ and results are reduced by value and then lexicographically smallest b.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import EvaluationError, NumericalError, SpecError
 from .stdf import (
@@ -64,6 +74,7 @@ METHODS = ("closed_mo", "closed_archimax_exchangeable", "closed_nac", "optimizer
 _FATOL = 1e-12          # function-spread stopping rule of the simplex search
 _TIE_TOL = 1e-10        # values this close count as a tie between starts
 _DEGENERACY_EPS = 1e-12  # maxima below this are reported as exactly 0
+_RECENTRE_TOL = 1e-13    # Archimax: mean of alpha * log b_h above which b* is recentred
 _ORACLE_CAP = 10_000_000
 
 
@@ -247,94 +258,178 @@ class _Candidate:
     final_step: float
 
 
-def _start_points(d_free: int, cfg: OptimizerConfig) -> list[np.ndarray]:
+def _start_points(d_free: int, cfg: OptimizerConfig) -> list[list[float]]:
     rng = np.random.default_rng(cfg.seed)
-    pts = [np.zeros(d_free)]
+    pts = [[0.0] * d_free]
     for _ in range(cfg.starts):
-        pts.append(rng.uniform(-cfg.range_log, cfg.range_log, d_free))
+        pts.append(rng.uniform(-cfg.range_log, cfg.range_log, d_free).tolist())
     return pts
 
 
-def _nelder_mead(f, x0: np.ndarray, cfg: OptimizerConfig):
+def _nelder_mead(f, x0: list[float], tol: float, max_evals: int):
+    """Minimize ``f`` (a list of floats -> float) by Nelder-Mead from the
+    simplex ``x0, x0 + 0.25 e_1, ..., x0 + 0.25 e_n``, on Python float lists.
+
+    The steps are scipy's ``minimize(method="Nelder-Mead")`` with its fixed
+    coefficients: with ``xbar`` the sequential sum of the n best vertices
+    divided by n and ``w`` the worst vertex, reflection ``2 xbar - w``,
+    expansion ``3 xbar - 2 w``, outside contraction ``1.5 xbar - 0.5 w``,
+    inside contraction ``0.5 xbar + 0.5 w``, and shrink
+    ``x_0 + 0.5 (x_j - x_0)`` toward the best vertex.  The search converges
+    when every vertex lies within ``tol`` of the best in each coordinate and
+    every value within 1e-12 of the best value.  It stops unconverged when
+    ``max_evals`` evaluations are spent: the call that would exceed the budget
+    is not made and the iteration ends where it stands (a shrink cut short
+    keeps its moved vertices with their old values), as in scipy.
+
+    Vertices are ordered by value with Python's stable sort, so among equal
+    values the vertex that came first stays first.  scipy orders them with
+    numpy's ``argsort``, which on hosts with AVX-512 sorting can reorder ties
+    among 4 or more values; that tie order is the only way the two can
+    differ (values are assumed not to be NaN).
+
+    Returns ``(nfev, converged, sim, fsim)`` with the simplex sorted best
+    first.
+    """
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
+    sim = [list(x0)]
     for i in range(n):
-        sim[i + 1, i] += 0.25
-    res = minimize(
-        f,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "xatol": cfg.tol,
-            "fatol": _FATOL,
-            "maxfev": cfg.max_evals,
-            "maxiter": cfg.max_evals,
-            "initial_simplex": sim,
-        },
-    )
-    final = res.final_simplex[0]
-    diam = float(np.max(np.abs(final - final[0])))
-    return res, diam
+        v = list(x0)
+        v[i] += 0.25
+        sim.append(v)
+    nfev = min(n + 1, max_evals)
+    fsim = [f(v) for v in sim[:nfev]] + [math.inf] * (n + 1 - nfev)
+    sim, fsim = _sort_simplex(sim, fsim)
+    converged = False
+    while nfev < max_evals:
+        best, fbest = sim[0], fsim[0]
+        # fsim is sorted, so its spread is fsim[n] - fbest
+        if fsim[n] - fbest <= _FATOL and all(
+            abs(v - b) <= tol for xj in sim[1:] for v, b in zip(xj, best)
+        ):
+            converged = True
+            break
+        xbar = best
+        for xj in sim[1:n]:
+            xbar = [a + v for a, v in zip(xbar, xj)]
+        xbar = [a / n for a in xbar]
+        worst = sim[n]
+        new = [2.0 * a - w for a, w in zip(xbar, worst)]
+        fnew = f(new)
+        nfev += 1
+        if fnew < fbest:
+            if nfev == max_evals:
+                break
+            xe = [3.0 * a - 2.0 * w for a, w in zip(xbar, worst)]
+            fe = f(xe)
+            nfev += 1
+            if fe < fnew:
+                new, fnew = xe, fe
+        elif fnew >= fsim[n - 1]:
+            if nfev == max_evals:
+                break
+            if fnew < fsim[n]:
+                xc = [1.5 * a - 0.5 * w for a, w in zip(xbar, worst)]
+                fc = f(xc)
+                accept = fc <= fnew
+            else:
+                xc = [0.5 * a + 0.5 * w for a, w in zip(xbar, worst)]
+                fc = f(xc)
+                accept = fc < fsim[n]
+            nfev += 1
+            if not accept:
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    if nfev == max_evals:
+                        break
+                    fsim[j] = f(sim[j])
+                    nfev += 1
+                sim, fsim = _sort_simplex(sim, fsim)
+                continue
+            new, fnew = xc, fc
+        # only the worst vertex changed: its stable-sort place is after
+        # every vertex of equal or lower value
+        del sim[n], fsim[n]
+        k = bisect.bisect_right(fsim, fnew)
+        sim.insert(k, new)
+        fsim.insert(k, fnew)
+    return nfev, converged, sim, fsim
 
 
-def _maximize(value, d: int, cfg: OptimizerConfig, starts: list[np.ndarray]):
+def _sort_simplex(sim, fsim):
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _pruned_objective(value, v0: float, d: int):
+    """The objective one start minimizes: ``-value(b)`` at the embedded point
+    ``b = (e^{x_1}, ..., e^{x_{d-1}}, e^{-sum x})`` of a list ``x``.
+
+    It keeps the start's running best value, seeded with the diagonal value
+    ``v0``, and rejects points whose smallest log-coordinate falls below the
+    log of it (the min bound makes them hopeless) with the sloped surrogate
+    ``-min_j b_j``, so the simplex walks back toward the feasible box.
+    Returns ``(fobj, best)``; ``best()`` gives the best value and point so
+    far.
+    """
+    best_val, best_b = v0, (1.0,) * d
+    log_cut = math.log(v0) if v0 > 0.0 else -math.inf
+
+    def fobj(xs):
+        nonlocal best_val, best_b, log_cut
+        xd = -sum(xs)
+        mn = min(min(xs), xd)
+        if mn < log_cut:
+            return -math.exp(mn)
+        mx = max(max(xs), xd)
+        if mx > 500.0:  # reachable only while no positive value is known
+            return 1.0 + (mx - 500.0)
+        b = [math.exp(v) for v in xs]
+        b.append(math.exp(xd))
+        val = value(b)
+        if val > best_val:
+            best_val, best_b = val, tuple(b)
+            if val > 0.0:
+                log_cut = math.log(val)
+        return -val
+
+    def best():
+        return best_val, best_b
+
+    return fobj, best
+
+
+def _maximize(value, d: int, cfg: OptimizerConfig, starts: list[list[float]]):
     """Maximize ``value`` over the unit-product set; ``value`` maps a positive
     point ``b`` (a list) to a number in ``[0, min_j b_j]``.
 
-    One simplex search per start point, in log coordinates.  Each start keeps
-    its own running best value, seeds it with the diagonal value, and rejects
-    iterates whose smallest component already falls below it (the min bound
-    makes them hopeless); rejected iterates get a sloped surrogate so the
-    simplex walks back toward the feasible box.  The starts reduce by value,
+    One simplex search per start point, in log coordinates, each on its own
+    pruned objective (``_pruned_objective``).  The starts reduce by value,
     ties then by the lexicographically smallest point.
 
     Returns ``(value, point, diagnostics)``.  A maximum below the degeneracy
     threshold counts as converged: there is no direction to converge to.
     """
-    ones = (1.0,) * d
     v0 = value([1.0] * d)
     total_evals = 1
     candidates: list[_Candidate] = []
-
     for si, x0 in enumerate(starts):
-        state = {"cut": v0, "best_val": v0, "best_b": ones}
-
-        def fobj(x, _state=state):
-            xs = x.tolist()
-            xd = -sum(xs)
-            mn = min(min(xs), xd)
-            cut = _state["cut"]
-            if cut > 0.0 and mn < math.log(cut):
-                return -math.exp(mn)
-            mx = max(max(xs), xd)
-            if mx > 500.0:  # reachable only while no positive value is known
-                return 1.0 + (mx - 500.0)
-            b = [math.exp(v) for v in xs]
-            b.append(math.exp(xd))
-            val = value(b)
-            if val > _state["best_val"]:
-                _state["best_val"] = val
-                _state["best_b"] = tuple(b)
-                if val > cut:
-                    _state["cut"] = val
-            return -val
-
-        res, diam = _nelder_mead(fobj, x0, cfg)
-        total_evals += res.nfev
-        candidates.append(
-            _Candidate(state["best_val"], state["best_b"], si, bool(res.success), diam)
-        )
+        fobj, best = _pruned_objective(value, v0, d)
+        nfev, converged, sim, _ = _nelder_mead(fobj, x0, cfg.tol, cfg.max_evals)
+        total_evals += nfev
+        diam = max(abs(v - b) for xj in sim for v, b in zip(xj, sim[0]))
+        candidates.append(_Candidate(*best(), si, converged, diam))
 
     vbest = max(c.value for c in candidates)
-    best = min((c for c in candidates if c.value >= vbest - _TIE_TOL), key=lambda c: c.point)
+    win = min((c for c in candidates if c.value >= vbest - _TIE_TOL), key=lambda c: c.point)
     diag = Diagnostics(
         starts_used=len(candidates),
-        best_start=best.start,
+        best_start=win.start,
         function_evals=total_evals,
-        converged=best.success or best.value < _DEGENERACY_EPS,
-        final_step=best.final_step,
+        converged=win.success or win.value < _DEGENERACY_EPS,
+        final_step=win.final_step,
     )
-    return best.value, best.point, diag
+    return win.value, win.point, diag
 
 
 def optimize(model: TailCopulaModel, config: OptimizerConfig | None = None) -> MtcmResult:
@@ -390,7 +485,11 @@ def archimax_mtcm(
     Since ``max h = 1 / min l`` and ``x -> l(e^x)`` is convex, the search
     runs from the diagonal alone: ``config.tol`` and ``config.max_evals``
     apply, ``starts``, ``seed`` and ``range_log`` do not.  Powers that do not
-    fit a float raise ``NumericalError``.
+    fit a float raise ``NumericalError``; a ``lambda*`` below 1e-12 is
+    reported as 0 with maximizer 1_d, as in ``optimize``.  A large ``alpha``
+    multiplies the round-off in ``prod b_h = 1``: when the mean of
+    ``alpha * log b_h`` exceeds 1e-13 in magnitude, ``b*`` is rebuilt as
+    ``exp(alpha * log b_h - mean)``, so its product stays 1.
     """
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha > 0.0):
@@ -403,11 +502,17 @@ def archimax_mtcm(
         return MtcmResult(lam, (1.0,) * d, "closed_archimax_exchangeable", _CLOSED_FORM_DIAG)
     ell = stdf._value
     h_max, b_h, diag = _maximize(
-        lambda b: 1.0 / ell([1.0 / v for v in b]), d, config or OptimizerConfig(), [np.zeros(d - 1)]
+        lambda b: 1.0 / ell([1.0 / v for v in b]), d, config or OptimizerConfig(), [[0.0] * (d - 1)]
     )
     lam = _power(h_max, alpha, "lambda*", True)
-    b = tuple(_power(v, alpha, f"b*[{j}]", False) for j, v in enumerate(b_h))
-    return MtcmResult(lam, b, "optimizer", diag)
+    b = [_power(v, alpha, f"b*[{j}]", False) for j, v in enumerate(b_h)]
+    if lam < _DEGENERACY_EPS:
+        return MtcmResult(0.0, (1.0,) * d, "optimizer", diag)
+    y = [alpha * math.log(v) for v in b_h]
+    shift = math.fsum(y) / d
+    if abs(shift) > _RECENTRE_TOL:
+        b = [math.exp(v - shift) for v in y]
+    return MtcmResult(lam, tuple(b), "optimizer", diag)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -239,6 +243,34 @@ def test_archimax_power_beyond_float_range_is_numerical_failure(write_json, caps
     assert err.count("\n") == 1
 
 
+def test_archimax_large_alpha_keeps_unit_product(write_json, capsys):
+    mo = {"family": "marshall_olkin", "dimension": 3, "params": {"alpha": [0.5, 0.5, 0.5000001]}}
+    spec = {"family": "archimax", "dimension": 3, "params": {"stdf": mo, "alpha": 1e9}}
+    path = write_json("arch.json", spec)
+    code, out, err = run(capsys, "mtcm", "--model", path, "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["lambda_star"] == 0.0
+    assert math.fsum(math.log(v) for v in result["b_star"]) == 0.0
+
+
+def test_search_and_sealevel_do_not_import_scipy(write_json):
+    tawn = {"family": "tawn2", "dimension": 3, "params": {"s": 1.69, "r": 1.25, "t": 7.44, "phi": 0.74}}
+    path = write_json("t2.json", {"family": "survival_evc", "dimension": 3, "params": {"stdf": tawn}})
+    script = (
+        "import contextlib, io, sys\n"
+        "from tailmax.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['mtcm', '--model', {path!r}]), main(['sealevel'])]\n"
+        "print(codes, 'scipy' in sys.modules, 'tailmax.mtcm' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False", "True"]
+
+
 # parameters on or next to the edge of their range, mixed with ordinary ones
 _UNIT = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.5, 1.0 - 2.0 ** -53, 1.0]),
@@ -251,11 +283,11 @@ _EXPONENT = st.one_of(
 
 
 @st.composite
-def _stdf_spec(draw, d, depth=0):
+def _stdf_spec(draw, d, depth=0, family=None):
     kinds = ["marshall_olkin", "logistic"] + (["tawn1", "tawn2"] if d == 3 else [])
     if depth < 2:
         kinds.append("mixture")
-    kind = draw(st.sampled_from(kinds))
+    kind = family or draw(st.sampled_from(kinds))
     if kind == "marshall_olkin":
         params = {"alpha": draw(st.lists(_UNIT, min_size=d, max_size=d))}
     elif kind == "logistic":
@@ -298,6 +330,43 @@ def test_archimax_mtcm_cli_contract(write_json, capsys, spec):
         assert result["lambda_star"] <= min(b) + 1e-10
     if code == 1 and "does not fit in a float" in err:
         assert f"(alpha={spec['params']['alpha']:.6g})" in err
+
+
+@st.composite
+def _searched_spec(draw):
+    kind = draw(st.sampled_from(["logistic", "mo_mixture", "tawn1", "tawn2"]))
+    if kind == "logistic":
+        d = draw(st.integers(min_value=2, max_value=6))
+        stdf = {"family": "logistic", "dimension": d, "params": {"s": draw(_EXPONENT)}}
+    elif kind == "mo_mixture":
+        d = draw(st.integers(min_value=2, max_value=5))
+        mo = [{"family": "marshall_olkin", "dimension": d,
+               "params": {"alpha": draw(st.lists(_UNIT, min_size=d, max_size=d))}} for _ in range(2)]
+        stdf = {"family": "mixture", "dimension": d, "params": {"weight": draw(_UNIT), "components": mo}}
+    else:
+        d = 3
+        stdf = draw(_stdf_spec(3, family=kind))
+    return {"family": "survival_evc", "dimension": d, "params": {"stdf": stdf}}
+
+
+@given(
+    spec=_searched_spec(),
+    max_evals=st.integers(min_value=10, max_value=200),
+    tol=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
+)
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_search_budget_and_tolerance_cli_contract(write_json, capsys, spec, max_evals, tol):
+    path = write_json("surv.json", spec)
+    code, out, err = run(capsys, "mtcm", "--model", path, "--format", "json",
+                         "--max-evals", str(max_evals), "--tol", repr(tol))
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    if code == 0:
+        result = json.loads(out)["result"]
+        b = result["b_star"]
+        assert abs(math.fsum(math.log(v) for v in b)) <= 1e-10
+        assert result["lambda_star"] <= min(b) + 1e-10
 
 
 def _deep_tree_text(depth):

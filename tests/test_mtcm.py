@@ -34,6 +34,8 @@ from tailmax import (
     optimize,
 )
 
+from tailmax.mtcm import _nelder_mead, _pruned_objective
+
 from _support import mo_mtcm
 
 # independently computed: (0.2 * 0.5 * 0.8) ** (1/3) and lam / alpha_j
@@ -159,6 +161,17 @@ def test_archimax_single_start_matches_direct_search(stdf, alpha):
     assert abs(Archimax(stdf, alpha).value(r.b_star) - r.lambda_star) <= 1e-9
 
 
+def test_archimax_large_alpha_keeps_unit_product():
+    # b* = b_h ** alpha multiplies the round-off in prod b_h = 1 by alpha
+    r = archimax_mtcm(MarshallOlkin((0.5, 0.5, 0.5000001)), 1e9)
+    assert (r.lambda_star, r.b_star) == (0.0, (1.0, 1.0, 1.0))
+    near_max = MarshallOlkin((1.0 - 1e-12, 1.0 - 2e-12, 1.0 - 3e-12))
+    for alpha in (1e6, 1e9):
+        r = archimax_mtcm(near_max, alpha)
+        assert r.lambda_star > 0.99
+        assert abs(math.fsum(math.log(v) for v in r.b_star)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # direct search
 # ---------------------------------------------------------------------------
@@ -255,6 +268,96 @@ def test_optimize_respects_eval_budget():
     cfg = OptimizerConfig(starts=2, max_evals=50)
     r = optimize(SurvivalEvc(TawnTypeII(s=1.69, r=1.25, t=7.44, phi=0.74)), cfg)
     assert r.diagnostics.function_evals <= 3 * 50 + 10
+
+
+# ---------------------------------------------------------------------------
+# the simplex against scipy's Nelder-Mead
+# ---------------------------------------------------------------------------
+
+def _scipy_nelder_mead(f, x0, tol, max_evals):
+    """scipy's Nelder-Mead from the simplex the search uses, on a list objective."""
+    sp_optimize = pytest.importorskip("scipy.optimize")
+    sim = [list(x0)]
+    for i in range(len(x0)):
+        v = list(x0)
+        v[i] += 0.25
+        sim.append(v)
+    res = sp_optimize.minimize(
+        lambda x: f(x.tolist()), np.array(x0), method="Nelder-Mead",
+        options={"xatol": tol, "fatol": 1e-12, "maxfev": max_evals, "initial_simplex": np.array(sim)},
+    )
+    sim, fsim = res.final_simplex
+    return res.nfev, bool(res.success), sim.tolist(), fsim.tolist()
+
+
+def _assert_same_run(make_f, x0, tol, max_evals):
+    """Run both simplexes on fresh objectives; return whether the budget ran
+    out in the middle of a shrink (a final vertex was never evaluated)."""
+    seen = set()
+    f = make_f()
+
+    def recorded(x):
+        seen.add(tuple(x))
+        return f(x)
+
+    ours = _nelder_mead(recorded, list(x0), tol, max_evals)
+    assert ours == _scipy_nelder_mead(make_f(), x0, tol, max_evals)
+    return any(tuple(v) not in seen for v in ours[2])
+
+
+def _quadratic(n, rng):
+    a = rng.normal(size=(n, n))
+    q = (a @ a.T + 0.5 * np.eye(n)).tolist()
+    c = rng.normal(size=n).tolist()
+
+    def f(x):
+        y = [v - w for v, w in zip(x, c)]
+        return math.fsum(y[i] * q[i][j] * y[j] for i in range(n) for j in range(n))
+
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_simplex_matches_scipy_on_convex_quadratics(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(3):
+        f = _quadratic(n, rng)
+        x0 = rng.uniform(-2.0, 2.0, n).tolist()
+        for max_evals in (10, 23, 60, 100_000):
+            _assert_same_run(lambda: f, x0, 1e-9, max_evals)
+
+
+@pytest.mark.parametrize("d, exponents", [(3, (1.7, 3.5)), (4, (1.4, 2.6))])
+def test_simplex_matches_scipy_on_pruned_objective(d, exponents):
+    # the search's own objective: min-bound pruning and surrogates included;
+    # budgets of 10..60 evaluations also end some runs in the middle of a shrink
+    cut_in_shrink = 0
+    for s in exponents:
+        value = SurvivalEvc(Logistic(s, d))._value
+        v0 = value([1.0] * d)
+        rng = np.random.default_rng(d * 10 + int(s * 10))
+        starts = [[0.0] * (d - 1)] + [
+            rng.uniform(-math.log(10.0), math.log(10.0), d - 1).tolist() for _ in range(3)
+        ]
+        for x0 in starts:
+            for max_evals in [*range(10, 61), 100_000]:
+                cut_in_shrink += _assert_same_run(
+                    lambda: _pruned_objective(value, v0, d)[0], x0, 1e-9, max_evals
+                )
+    assert cut_in_shrink > 0
+
+
+def test_simplex_keeps_tied_vertices_in_order():
+    # vertices 1..5 tie below vertex 0; a stable order keeps them as they came
+    x0 = [0.0] * 5
+
+    def f(x):
+        return 1.0 if x == x0 else 0.0
+
+    nfev, converged, sim, fsim = _nelder_mead(f, x0, 1e-9, 6)
+    assert (nfev, converged) == (6, False)
+    assert fsim == [0.0] * 5 + [1.0]
+    assert sim == [[0.25 if j == i else 0.0 for j in range(5)] for i in range(5)] + [x0]
 
 
 # ---------------------------------------------------------------------------
