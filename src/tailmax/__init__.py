@@ -1,9 +1,10 @@
 """Tail copulas and the maximal tail concordance measure.
 
 Evaluate tail copulas of parametric copula families (survival extreme-value,
-Archimax, Archimedean, nested Archimedean, mixtures) and maximize them over
-the unit-product set, by closed forms where available and by a verified
-derivative-free search otherwise.
+Archimax, with Archimedean copulas as Archimax over independence, nested
+Archimedean, mixtures) and maximize them over the unit-product set, by
+closed forms where available and by a verified derivative-free search
+otherwise.
 """
 
 from .errors import EvaluationError, NumericalError, SpecError, TailmaxError
@@ -36,7 +37,6 @@ from .stdf import (
 )
 from .tail_copula import (
     Archimax,
-    Archimedean,
     MixtureTail,
     NacCopula,
     SurvivalEvc,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Archimax",
-    "Archimedean",
     "Comonotone",
     "DEFAULT_SEED",
     "Diagnostics",

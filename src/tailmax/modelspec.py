@@ -4,7 +4,9 @@ A spec is ``{"family": str, "dimension": int, "params": {...}}``.  Stable tail
 dependence families: independence, comonotone, logistic, marshall_olkin,
 tawn1, tawn2, mixture.  Tail copula families: survival_evc, archimax,
 archimedean, nac, mixture_tc.  ``parse_tail_copula`` also accepts a bare
-stable-tail-dependence spec and wraps it in the survival route.
+stable-tail-dependence spec and wraps it in the survival route, and parses
+``archimedean`` (``alpha`` or ``generator`` plus ``dimension``) as Archimax
+over ``independence``; ``to_spec`` emits the latter as the ``archimax`` spec.
 
 Parsing errors name the offending field path (``params.alpha[2]: ...``).
 """
@@ -27,7 +29,6 @@ from .stdf import (
 )
 from .tail_copula import (
     Archimax,
-    Archimedean,
     MixtureTail,
     NacCopula,
     SurvivalEvc,
@@ -216,7 +217,7 @@ def parse_tail_copula(spec, path: str = "model") -> TailCopulaModel:
         return model
     if fam == "archimedean":
         alpha = _parse_alpha_or_generator(params, path)
-        return _wrap(path, lambda: Archimedean(alpha, _get_dimension(spec, path)))
+        return _wrap(path, lambda: Archimax(Independence(_get_dimension(spec, path)), alpha))
     if fam == "nac":
         if "tree" not in params:
             raise _fail(f"{path}.params", "missing 'tree'")
@@ -258,8 +259,6 @@ def to_spec(model) -> dict:
             "dimension": model.dim,
             "params": {"stdf": to_spec(model.stdf), "alpha": model.alpha},
         }
-    if isinstance(model, Archimedean):
-        return {"family": model.family, "dimension": model.dim, "params": {"alpha": model.alpha}}
     if isinstance(model, NacCopula):
         return {
             "family": model.family,

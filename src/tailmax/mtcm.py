@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import EvaluationError, NumericalError, SpecError
 from .stdf import (
+    _MAX_POINTS,
     Comonotone,
     Independence,
     Logistic,
@@ -50,7 +51,7 @@ from .stdf import (
     TawnTypeI,
     TawnTypeII,
 )
-from .tail_copula import Archimax, Archimedean, NacCopula, SurvivalEvc, TailCopulaModel
+from .tail_copula import Archimax, NacCopula, SurvivalEvc, TailCopulaModel
 
 __all__ = [
     "DEFAULT_SEED",
@@ -75,7 +76,6 @@ _FATOL = 1e-12          # function-spread stopping rule of the simplex search
 _TIE_TOL = 1e-10        # values this close count as a tie between starts
 _DEGENERACY_EPS = 1e-12  # maxima below this are reported as exactly 0
 _RECENTRE_TOL = 1e-13    # Archimax: mean of alpha * log b_h above which b* is recentred
-_ORACLE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -548,7 +548,8 @@ def grid_oracle(
     """Brute-force verification of the maximum: a uniform lattice over
     ``[-L, L]^(d-1)`` in log coordinates, refined once by a 10x finer local
     lattice around the coarse winner.  Accuracy is O(L/N) in the maximizer;
-    use with coarse tolerances.
+    use with coarse tolerances.  Lattices above 10^7 points, or reaching a
+    point ``b`` with an entry beyond the float range, are rejected.
     """
     if not isinstance(model, TailCopulaModel):
         raise SpecError("model must be a TailCopulaModel")
@@ -561,15 +562,22 @@ def grid_oracle(
     L = float(log_range)
     if not (math.isfinite(L) and L > 0.0):
         raise EvaluationError("log_range must be positive and finite")
-    if n ** (d - 1) > _ORACLE_CAP:
+    if n ** (d - 1) > _MAX_POINTS:
         raise EvaluationError(
-            f"grid of {n}^{d - 1} points exceeds the cap of {_ORACLE_CAP}"
+            f"grid of {n}^{d - 1} points exceeds the cap of {_MAX_POINTS}"
+        )
+    step = 2.0 * L / (n - 1)
+    # a fine-lattice coordinate lies within L + step of 0, the last one
+    # within d - 1 times that
+    reach = (d - 1) * (L + step)
+    if reach > _LOG_FLOAT_MAX:
+        raise EvaluationError(
+            f"log_range {L:.6g} puts lattice points at exp({reach:.6g}), beyond the float range"
         )
 
     coarse = [np.linspace(-L, L, n) for _ in range(d - 1)]
     best_val, best_x, evals = _grid_scan(model, coarse)
 
-    step = 2.0 * L / (n - 1)
     fine = [np.linspace(best_x[k] - step, best_x[k] + step, 21) for k in range(d - 1)]
     fine_val, fine_x, fine_evals = _grid_scan(model, fine)
     evals += fine_evals
@@ -596,9 +604,12 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
     """Route to the tightest available method; the result carries the tag.
 
     Survival Marshall-Olkin (parameters strictly inside the unit box) and
-    nested Archimedean trees get closed forms; Archimax and Archimedean go
-    through ``archimax_mtcm`` (closed form when l is exchangeable, else one
-    start from the diagonal); everything else runs the direct search.
+    nested Archimedean trees get closed forms; Archimax (Archimedean
+    copulas included, as Archimax over independence) goes through
+    ``archimax_mtcm`` (closed form when l is exchangeable, else one start
+    from the diagonal); everything else runs the direct search.  A tree
+    whose ``lambda*`` is below 1e-12 is reported as 0 with maximizer 1_d,
+    as in ``optimize``.
     """
     if isinstance(model, SurvivalEvc) and isinstance(model.stdf, MarshallOlkin):
         a = model.stdf.alpha
@@ -607,10 +618,10 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
         return optimize(model, config)
     if isinstance(model, NacCopula):
         lam = model.tree.mtcm_closed()
+        if lam < _DEGENERACY_EPS:
+            return MtcmResult(0.0, (1.0,) * model.dim, "closed_nac", _CLOSED_FORM_DIAG)
         b = tuple(float(v) for v in model.tree.maximizer())
         return MtcmResult(lam, b, "closed_nac", _CLOSED_FORM_DIAG)
-    if isinstance(model, Archimedean):
-        return archimax_mtcm(Independence(model.dim), model.alpha)
     if isinstance(model, Archimax):
         return archimax_mtcm(model.stdf, model.alpha, config)
     return optimize(model, config)

@@ -313,7 +313,10 @@ class NacTree:
             a = self._alpha[v]
             vals = np.column_stack([rec(c) for c in self._children[v]])
             mn = vals.min(axis=1)
-            s = np.power(vals / mn[:, None], -1.0 / a).sum(axis=1)
+            # a ratio that overflows is inf, whose negative power is the
+            # limit 0
+            with np.errstate(over="ignore"):
+                s = np.power(vals / mn[:, None], -1.0 / a).sum(axis=1)
             return mn * s ** (-a)
 
         return rec(vertex)

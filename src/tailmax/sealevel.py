@@ -18,8 +18,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SpecError
-from .mtcm import MtcmResult, OptimizerConfig, optimize
-from .stdf import StdfModel, TawnTypeI, TawnTypeII
+from .mtcm import _LOG_FLOAT_MAX, MtcmResult, OptimizerConfig, optimize
+from .stdf import _MAX_POINTS, StdfModel, TawnTypeI, TawnTypeII
 from .tail_copula import SurvivalEvc
 
 __all__ = [
@@ -173,15 +173,23 @@ def surface(label: str, axis_points: int, log_range: float) -> np.ndarray:
 
     Returns an (axis_points^2, 3) array of rows (x1, x2, value) where the
     value is the survival tail copula at (e^x1, e^x2, e^(-x1-x2)), scanned
-    over [-log_range, log_range]^2 in row-major order.
+    over [-log_range, log_range]^2 in row-major order.  Grids above 10^7
+    points, or with ``2 * log_range`` beyond the log of the largest float,
+    are rejected.
     """
     model = get_model(label)
     n = int(axis_points)
     if n < 2:
         raise SpecError("axis_points must be >= 2")
+    if n * n > _MAX_POINTS:
+        raise SpecError(f"grid of {n}^2 points exceeds the cap of {_MAX_POINTS}")
     L = float(log_range)
     if not (math.isfinite(L) and L >= 0.0):
         raise SpecError("log_range must be nonnegative and finite")
+    if 2.0 * L > _LOG_FLOAT_MAX:  # the third coordinate reaches -2L and 2L
+        raise SpecError(
+            f"log_range {L:.6g} puts grid points at exp({2.0 * L:.6g}), beyond the float range"
+        )
     tc = SurvivalEvc(model.stdf)
     axis = np.linspace(-L, L, n)
     X1, X2 = np.meshgrid(axis, axis, indexing="ij")

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# the most points that one lattice or randomized check may allocate: the
+# grid oracle's lattice, a sea-level surface and ``validate_stdf``'s sample
+_MAX_POINTS = 10_000_000
+
+
 # ---------------------------------------------------------------------------
 # input checking helpers
 # ---------------------------------------------------------------------------
@@ -462,12 +467,14 @@ def validate_stdf(
 ) -> StdfValidationReport:
     """Check ``max <= l <= sum`` and 1-homogeneity on random points.
 
-    Points are drawn log-uniformly over [e^-3, e^3]^d.  Violations are
-    normalized by max(1, scale) so the report is scale-free; the check passes
-    when every violation is within ``tol``.
+    Points are drawn log-uniformly over [e^-3, e^3]^d, at most 10^7 of them.
+    Violations are normalized by max(1, scale) so the report is scale-free;
+    the check passes when every violation is within ``tol``.
     """
     if samples < 1:
         raise EvaluationError("samples must be >= 1")
+    if samples > _MAX_POINTS:
+        raise EvaluationError(f"{samples} samples exceed the cap of {_MAX_POINTS}")
     rng = np.random.default_rng(seed)
     X = np.exp(rng.uniform(-3.0, 3.0, size=(int(samples), model.dim)))
     vals = model.value_batch(X)

@@ -2,7 +2,7 @@
 
 A tail copula L maps (0, inf)^d to [0, inf), is 1-homogeneous, componentwise
 nondecreasing, 1-Lipschitz in the 1-norm and bounded by ``0 <= L(x) <= min_j
-x_j``.  Five routes are implemented:
+x_j``.  Four routes are implemented:
 
 * ``SurvivalEvc``: survival copula of an extreme value copula with stable tail
   dependence function l, via the alternating sum of sub-vector margins
@@ -13,9 +13,9 @@ x_j``.  Five routes are implemented:
   logistic evaluation walks the subsets with running power sums; every other
   l sums the ``2^d - 1`` margins directly;
 * ``Archimax``: generator with regular-variation index a > 0 plus an l,
-  ``L(x) = l(x_1**(-1/a), ..., x_d**(-1/a)) ** (-a)``;
-* ``Archimedean``: the l = sum special case,
-  ``L(x) = (sum_j x_j**(-1/a)) ** (-a)``, kept as its own fast path;
+  ``L(x) = l(x_1**(-1/a), ..., x_d**(-1/a)) ** (-a)``.  An Archimedean
+  copula with a regularly varying generator is the case l = independence
+  sum, ``Archimax(Independence(d), a)``;
 * ``NacCopula``: nested Archimedean tree recursion (see ``nac``);
 * ``MixtureTail``: convex combination of two tail copulas.
 
@@ -32,15 +32,14 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, NumericalError, SpecError
+from .errors import NumericalError, SpecError
 from .nac import NacTree
-from .stdf import Logistic, MarshallOlkin, Mixture, StdfModel, _check_param
+from .stdf import Logistic, MarshallOlkin, Mixture, StdfModel, _as_batch, _as_point, _check_param
 
 __all__ = [
     "TailCopulaModel",
     "SurvivalEvc",
     "Archimax",
-    "Archimedean",
     "NacCopula",
     "MixtureTail",
     "rv_index",
@@ -52,34 +51,6 @@ MAX_TRANSFORM_DEPTH = 200  # generator descriptors are resolved recursively
 # round-off from the alternating sum: clamp small negatives, reject anything
 # clearly beyond accumulated floating-point error
 _CLAMP_REL = 1e-9
-
-
-def _as_positive_point(x: Sequence[float], dim: int) -> tuple[list[float], bool]:
-    """Validate finiteness/nonnegativity; flag exact zeros (value is then 0)."""
-    xs = [float(v) for v in x]
-    if len(xs) != dim:
-        raise EvaluationError(f"expected a vector of length {dim}, got {len(xs)}")
-    has_zero = False
-    for j, v in enumerate(xs):
-        if not math.isfinite(v):
-            raise EvaluationError(f"x[{j}] is not finite: {v}")
-        if v < 0.0:
-            raise EvaluationError(f"x[{j}] is negative: {v}")
-        if v == 0.0:
-            has_zero = True
-    return xs, has_zero
-
-
-def _as_positive_batch(X, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    A = np.asarray(X, dtype=float)
-    if A.ndim != 2 or A.shape[1] != dim:
-        raise EvaluationError(f"expected an (n, {dim}) array, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise EvaluationError("batch contains non-finite values")
-    if np.any(A < 0.0):
-        raise EvaluationError("batch contains negative coordinates")
-    positive = np.all(A > 0.0, axis=1)
-    return A, positive
 
 
 @lru_cache(maxsize=None)
@@ -232,14 +203,15 @@ class TailCopulaModel:
 
     def value(self, x: Sequence[float]) -> float:
         """Evaluate L(x); zero coordinates give 0."""
-        xs, has_zero = _as_positive_point(x, self.dim)
-        if has_zero:
+        xs = _as_point(x, self.dim)
+        if min(xs) == 0.0:
             return 0.0
         return self._value(xs)
 
     def value_batch(self, X) -> np.ndarray:
         """Row-wise L over an (n, d) array; rows with zeros give 0."""
-        A, positive = _as_positive_batch(X, self.dim)
+        A = _as_batch(X, self.dim)
+        positive = np.all(A > 0.0, axis=1)
         if np.all(positive):
             return self._value_batch(A)
         out = np.zeros(A.shape[0])
@@ -250,9 +222,6 @@ class TailCopulaModel:
     def diagonal(self) -> float:
         """Tail dependence coefficient L(1, ..., 1)."""
         return self._value([1.0] * self.dim)
-
-    def params(self) -> dict:
-        return {}
 
 
 @dataclass(frozen=True)
@@ -351,51 +320,6 @@ class Archimax(TailCopulaModel):
         Z = np.power(mn[:, None] / X, 1.0 / a)
         return mn * self.stdf._value_batch(Z) ** (-a)
 
-    def params(self) -> dict:
-        return {"alpha": self.alpha}
-
-
-@dataclass(frozen=True)
-class Archimedean(TailCopulaModel):
-    """Fast path for the l = sum case: ``L(x) = (sum_j x_j**(-1/a)) ** (-a)``.
-
-    Equivalent to ``Archimax(Independence(d), a)``; both paths are kept and
-    cross-asserted in the tests.
-    """
-
-    alpha: float
-    dimension: int
-
-    family: ClassVar[str] = "archimedean"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "dimension", int(self.dimension))
-        _check_param(
-            math.isfinite(self.alpha) and self.alpha > 0.0,
-            "regular-variation index alpha must be positive and finite",
-        )
-        _check_param(self.dimension >= 2, "dimension must be >= 2")
-
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def _value(self, xs: list[float]) -> float:
-        a = self.alpha
-        mn = min(xs)
-        s = sum((mn / v) ** (1.0 / a) for v in xs)
-        return mn * s ** (-a)
-
-    def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        a = self.alpha
-        mn = X.min(axis=1)
-        s = np.power(mn[:, None] / X, 1.0 / a).sum(axis=1)
-        return mn * s ** (-a)
-
-    def params(self) -> dict:
-        return {"alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class NacCopula(TailCopulaModel):
@@ -448,9 +372,6 @@ class MixtureTail(TailCopulaModel):
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
         w = self.weight
         return w * self.first._value_batch(X) + (1.0 - w) * self.second._value_batch(X)
-
-    def params(self) -> dict:
-        return {"weight": self.weight}
 
 
 # ---------------------------------------------------------------------------

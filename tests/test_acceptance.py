@@ -12,7 +12,6 @@ import numpy as np
 
 from tailmax import (
     Archimax,
-    Archimedean,
     Comonotone,
     Independence,
     Logistic,
@@ -71,8 +70,8 @@ def _family_catalog(d):
             )
         ),
         Archimax(MarshallOlkin((0.3, 0.7) if d == 2 else (0.2, 0.5, 0.8)), 1.2),
-        Archimedean(0.7, d),
-        MixtureTail(0.4, Archimedean(0.5, d), SurvivalEvc(Logistic(2.0, d))),
+        Archimax(Independence(d), 0.7),
+        MixtureTail(0.4, Archimax(Independence(d), 0.5), SurvivalEvc(Logistic(2.0, d))),
     ]
     if d == 2:
         models.append(NacCopula(NacTree.from_dict({"alpha": 0.8, "children": [{}, {}]})))
@@ -218,7 +217,7 @@ def test_criterion_5_property_suite():
     cfg = OptimizerConfig(starts=8)
     for k in range(20):
         a = SurvivalEvc(MarshallOlkin(random_mo_alpha(rng, 3)))
-        b = Archimedean(float(rng.uniform(0.3, 2.0)), 3)
+        b = Archimax(Independence(3), float(rng.uniform(0.3, 2.0)))
         la = dispatch(a).lambda_star
         lb = dispatch(b).lambda_star
         for t in (0.25, 0.5, 0.75):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tailmax import parse_tail_copula, to_spec
 from tailmax.cli import main
+from tailmax.sealevel import LABELS
 
 MO_SPEC = {"family": "marshall_olkin", "dimension": 3, "params": {"alpha": [0.2, 0.5, 0.8]}}
 COMONOTONE3 = {"family": "comonotone", "dimension": 3}
@@ -304,13 +305,17 @@ def _stdf_spec(draw, d, depth=0, family=None):
     return {"family": kind, "dimension": d, "params": params}
 
 
+# a regular-variation index, log-uniform in [1e-300, 1e300]
+_INDEX = st.one_of(
+    st.sampled_from([1e-300, 1.0, 1e300]),
+    st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
+)
+
+
 @st.composite
 def _archimax_spec(draw):
     d = draw(st.integers(min_value=2, max_value=6))
-    alpha = draw(st.one_of(
-        st.sampled_from([1e-300, 1.0, 1e300]),
-        st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
-    ))
+    alpha = draw(_INDEX)
     return {"family": "archimax", "dimension": d,
             "params": {"stdf": draw(_stdf_spec(d)), "alpha": alpha}}
 
@@ -369,6 +374,65 @@ def test_search_budget_and_tolerance_cli_contract(write_json, capsys, spec, max_
         assert result["lambda_star"] <= min(b) + 1e-10
 
 
+@st.composite
+def _tree(draw, depth=0):
+    kids = draw(st.integers(min_value=2, max_value=3))
+    children = [draw(_tree(depth + 1)) if depth < 2 and draw(st.booleans()) else {}
+                for _ in range(kids)]
+    return {"alpha": draw(_INDEX), "children": children}
+
+
+# a lattice size per axis: small, or one whose lattice exceeds the 10^7-point cap
+_GRID_N = st.one_of(st.integers(min_value=3, max_value=12),
+                    st.integers(min_value=10 ** 7 + 1, max_value=10 ** 12))
+_LOG_RANGE = st.one_of(st.sampled_from([1e-3, 1e308]),
+                       st.floats(min_value=-3.0, max_value=308.0).map(lambda e: 10.0 ** e))
+
+
+@st.composite
+def _subcommand_call(draw):
+    """``(argv, input)``: unless ``input`` is None, ``argv`` ends with the
+    input file's flag and ``input`` is the JSON to write to that file."""
+    kind = draw(st.sampled_from(["nac", "oracle", "surface", "validate"]))
+    if kind == "nac":
+        return ["nac", "--tree"], draw(_tree())
+    if kind == "oracle":
+        spec = draw(st.one_of(
+            _archimax_spec(), _searched_spec(),
+            _tree().map(lambda t: {"family": "nac", "params": {"tree": t}}),
+        ))
+        return ["oracle", "--grid-n", str(draw(_GRID_N)),
+                "--log-range", repr(draw(_LOG_RANGE)), "--model"], spec
+    if kind == "surface":
+        n = draw(st.one_of(st.integers(min_value=2, max_value=12),  # 3163^2 > 10^7
+                           st.integers(min_value=3163, max_value=10 ** 9)))
+        return ["surface", "--label", draw(st.sampled_from(LABELS)), "--grid-n", str(n),
+                "--log-range", repr(draw(_LOG_RANGE))], None
+    d = draw(st.integers(min_value=2, max_value=6))
+    samples = draw(st.one_of(st.integers(min_value=1, max_value=50),
+                             st.integers(min_value=10 ** 7 + 1, max_value=10 ** 12)))
+    return ["validate", "--samples", str(samples), "--model"], draw(_stdf_spec(d))
+
+
+# a numpy RuntimeWarning would print its own stderr lines from a real process
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(call=_subcommand_call())
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_subcommand_cli_contract(write_json, capsys, call):
+    argv, data = call
+    if data is not None:
+        argv = argv + [write_json("input.json", data)]
+    code, out, err = run(capsys, *argv, "--format", "csv" if argv[0] == "surface" else "json")
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    if code == 0 and argv[0] in ("nac", "oracle"):
+        result = json.loads(out)["result"]
+        b = result["b_star"]
+        assert abs(math.fsum(math.log(v) for v in b)) <= 1e-10
+        assert result["lambda_star"] <= min(b) + 1e-10
+
+
 def _deep_tree_text(depth):
     return '{"alpha": 1.0, "children": [{"leaf": 1}, ' * depth + '{"leaf": 1}' + "]}" * depth
 
@@ -393,6 +457,44 @@ def test_deeply_nested_input_is_usage_error(tmp_path, capsys, command, text, fra
     p.write_text(text)
     flag = "--tree" if command == "nac" else "--model"
     code, out, err = run(capsys, command, flag, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"alpha": 1000, "children": [{"leaf": 1}, {"leaf": 2}, {"leaf": 3}]},
+        {"alpha": 2, "children": [{"leaf": 1}, {"alpha": 1e300, "children": [{"leaf": 2}, {"leaf": 3}]}]},
+    ],
+)
+def test_degenerate_tree_maximum_is_zero(write_json, capsys, tree):
+    for argv in (["nac", "--tree", write_json("tree.json", tree)],
+                 ["mtcm", "--model", write_json("nac.json", {"family": "nac", "params": {"tree": tree}})]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert err.count("\n") <= 1  # at most the nesting warning
+        result = json.loads(out)["result"]
+        assert result["lambda_star"] == 0.0
+        assert result["b_star"] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["surface", "--label", "I-1", "--grid-n", "100000"], "exceeds the cap of 10000000"),
+        (["validate", "--samples", "2000000000"], "exceed the cap of 10000000"),
+        (["oracle", "--log-range", "360"], "beyond the float range"),
+        (["oracle", "--log-range", "1e308"], "beyond the float range"),
+        (["surface", "--label", "I-1", "--grid-n", "5", "--log-range", "355"], "beyond the float range"),
+    ],
+)
+def test_oversized_lattice_is_usage_error(write_json, capsys, argv, fragment):
+    if argv[0] != "surface":
+        argv = argv + ["--model", write_json("mo.json", MO_SPEC)]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and fragment in err

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from tailmax import (
     Archimax,
-    Archimedean,
     Comonotone,
     Diagnostics,
     EvaluationError,
@@ -202,7 +201,7 @@ def test_optimize_matches_mo_closed_form():
 
 def test_optimize_matches_archimedean_closed_form():
     for alpha, d in ((0.7, 3), (1.5, 2)):
-        r = optimize(Archimedean(alpha, d), FAST)
+        r = optimize(Archimax(Independence(d), alpha), FAST)
         assert abs(r.lambda_star - d ** -alpha) <= 1e-6
         assert max(abs(b - 1.0) for b in r.b_star) <= 1e-4
 
@@ -233,7 +232,7 @@ def test_optimize_value_attained_at_maximizer():
 def test_optimize_diagonal_is_lower_bound():
     for model in [
         SurvivalEvc(TawnTypeI(s=7.44, r=2.21, theta=(0.23, 0.23, 0.55))),
-        Archimedean(0.7, 3),
+        Archimax(Independence(3), 0.7),
         NacCopula(NESTED_PAIR),
     ]:
         r = optimize(model, FAST)
@@ -416,7 +415,7 @@ def test_dispatch_routes_nac():
 
 
 def test_dispatch_routes_archimedean():
-    r = dispatch(Archimedean(0.7, 4))
+    r = dispatch(Archimax(Independence(4), 0.7))
     assert r.method == "closed_archimax_exchangeable"
     assert_allclose(r.lambda_star, 4.0 ** -0.7, rtol=1e-13)
 
@@ -439,7 +438,7 @@ def test_dispatch_boundary_mo_falls_back_to_search():
 
 def test_mixture_value_is_convex_small_case():
     a = SurvivalEvc(MarshallOlkin((0.3, 0.6, 0.8)))
-    b = Archimedean(0.9, 3)
+    b = Archimax(Independence(3), 0.9)
     la = dispatch(a).lambda_star
     lb = dispatch(b).lambda_star
     for t in (0.25, 0.5, 0.75):
@@ -463,7 +462,7 @@ def test_continuity_smoke_archimedean_sequence():
     target = d ** -alpha
     prev = -1.0
     for n in (1, 2, 4, 8, 16, 32):
-        lam_n = dispatch(Archimedean(alpha + 1.0 / n, d)).lambda_star
+        lam_n = dispatch(Archimax(Independence(d), alpha + 1.0 / n)).lambda_star
         assert lam_n > prev  # monotone increase toward the limit
         prev = lam_n
     assert abs(prev - target) <= target * 0.05

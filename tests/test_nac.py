@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tailmax import Archimedean, EvaluationError, NacTree, SpecError
+from tailmax import Archimax, EvaluationError, Independence, NacTree, SpecError
 
 from _support import (
     perturb_unit_product,
@@ -112,7 +112,7 @@ def test_leaf_counts():
 
 def test_single_level_tree_matches_archimedean():
     tree = NacTree.from_dict({"alpha": 0.8, "children": [{}, {}, {}, {}]})
-    fast = Archimedean(0.8, 4)
+    fast = Archimax(Independence(4), 0.8)
     rng = np.random.default_rng(3)
     for _ in range(25):
         x = rng.uniform(0.1, 5.0, 4)
@@ -144,6 +144,16 @@ def test_tail_copula_batch_matches_scalar():
     vals = tree.tail_copula_batch(X)
     for row, expected in zip(X, vals):
         assert_allclose(tree.tail_copula(row), expected, rtol=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tail_copula_batch_takes_overflowing_ratio_to_its_limit():
+    # x_max / x_min overflows to inf; its negative power is the limit 0
+    tree = NacTree.from_dict({"alpha": 1.0, "children": [{}, {}]})
+    X = [[1e-200, 1e200], [1e200, 1e-200]]
+    vals = tree.tail_copula_batch(X)
+    assert_allclose(vals, [tree.tail_copula(x) for x in X], rtol=1e-15)
+    assert_allclose(vals, 1e-200, rtol=1e-15)
 
 
 def test_tail_copula_subtree_evaluation():

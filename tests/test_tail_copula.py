@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from tailmax import (
     Archimax,
-    Archimedean,
     Comonotone,
     EvaluationError,
     Independence,
@@ -33,9 +32,9 @@ TC_MODELS = [
     SurvivalEvc(TawnTypeI(s=7.44, r=2.21, theta=(0.23, 0.23, 0.55))),
     SurvivalEvc(TawnTypeII(s=1.69, r=1.25, t=7.44, phi=0.74)),
     Archimax(MarshallOlkin((0.3, 0.7)), alpha=1.2),
-    Archimedean(0.7, 3),
+    Archimax(Independence(3), 0.7),
     NacCopula(NacTree.from_dict({"alpha": 2.0, "children": [{"leaf": 1}, {"alpha": 1.0, "children": [{"leaf": 2}, {"leaf": 3}]}]})),
-    MixtureTail(0.4, Archimedean(0.5, 3), SurvivalEvc(Logistic(2.0, 3))),
+    MixtureTail(0.4, Archimax(Independence(3), 0.5), SurvivalEvc(Logistic(2.0, 3))),
     SurvivalEvc(Mixture(0.4, MarshallOlkin((0.3, 0.6, 0.8, 0.5)), MarshallOlkin((0.7, 0.2, 0.4, 0.9)))),
     SurvivalEvc(Logistic(1.8, 6)),
 ]
@@ -63,13 +62,13 @@ def test_survival_logistic_diagonal_reference():
 
 
 def test_archimedean_unit_alpha_pair():
-    assert_allclose(Archimedean(1.0, 2).value([1.0, 1.0]), 0.5, rtol=1e-15)
+    assert_allclose(Archimax(Independence(2), 1.0).value([1.0, 1.0]), 0.5, rtol=1e-15)
 
 
 def test_archimedean_diagonal_power_law():
     for alpha in (0.3, 1.0, 2.5):
         for d in (2, 3, 5):
-            assert_allclose(Archimedean(alpha, d).diagonal(), d ** -alpha, rtol=1e-13)
+            assert_allclose(Archimax(Independence(d), alpha).diagonal(), d ** -alpha, rtol=1e-13)
 
 
 def test_comonotone_tdc_is_one():
@@ -116,17 +115,6 @@ def test_survival_route_matches_naive_subset_sum(stdf):
         assert_allclose(tc.value(x), naive_survival_tail(stdf, x), atol=1e-12)
 
 
-def test_archimax_independence_equals_archimedean_fast_path():
-    rng = np.random.default_rng(29)
-    for alpha in (0.4, 1.0, 3.0):
-        for d in (2, 3, 5):
-            via_archimax = Archimax(Independence(d), alpha)
-            fast = Archimedean(alpha, d)
-            for _ in range(10):
-                x = rng.uniform(0.05, 10.0, d)
-                assert_allclose(via_archimax.value(x), fast.value(x), rtol=1e-13)
-
-
 def test_archimax_comonotone_is_min_for_any_alpha():
     rng = np.random.default_rng(41)
     for alpha in (0.2, 1.0, 4.0):
@@ -137,7 +125,7 @@ def test_archimax_comonotone_is_min_for_any_alpha():
 
 
 def test_mixture_tail_is_convex_combination():
-    first = Archimedean(0.5, 3)
+    first = Archimax(Independence(3), 0.5)
     second = SurvivalEvc(Logistic(2.0, 3))
     mix = MixtureTail(0.25, first, second)
     rng = np.random.default_rng(43)
