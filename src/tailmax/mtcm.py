@@ -3,8 +3,9 @@ set ``B = {b > 0 : prod_j b_j = 1}``, together with the maximizing direction.
 
 Routes, tightest first:
 
-* exact closed forms (survival Marshall-Olkin; exchangeable Archimax;
-  nested Archimedean trees);
+* exact closed forms (survival Marshall-Olkin on the closed box, so
+  independence and comonotone included; exchangeable Archimax; nested
+  Archimedean trees);
 * one Nelder-Mead search core in log coordinates ``x in R^(d-1)`` with
   ``b = (e^{x_1}, ..., e^{x_{d-1}}, e^{-sum x})``, pruned by the min bound
   ``L(b) <= min_j b_j`` (any iterate whose smallest component is below the
@@ -35,15 +36,13 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import EvaluationError, NumericalError, SpecError
 from .stdf import (
     _MAX_POINTS,
-    Comonotone,
-    Independence,
     Logistic,
     MarshallOlkin,
     Mixture,
@@ -111,16 +110,6 @@ class OptimizerConfig:
         object.__setattr__(self, "max_evals", int(self.max_evals))
         object.__setattr__(self, "range_log", float(self.range_log))
         object.__setattr__(self, "tol", float(self.tol))
-
-    @classmethod
-    def from_dict(cls, d: Mapping, path: str = "config") -> "OptimizerConfig":
-        if not isinstance(d, Mapping):
-            raise SpecError(f"{path}: expected an object")
-        allowed = {"starts", "seed", "max_evals", "range_log", "tol"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise SpecError(f"{path}: unknown keys {sorted(unknown)}")
-        return cls(**{k: d[k] for k in allowed if k in d})
 
     def to_dict(self) -> dict:
         return {
@@ -213,16 +202,20 @@ def embed_budget(x: Sequence[float]) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def closed_form_mo(alpha: Sequence[float]) -> MtcmResult:
-    """Survival Marshall-Olkin: value ``(prod_j a_j)^(1/d)``, maximizer
-    ``b_j = (prod a)^(1/d) / a_j`` (unique).  Parameters must lie strictly
-    inside (0, 1)^d.
+    """Survival Marshall-Olkin on the closed box [0, 1]^d, where
+    ``L(b) = min_j a_j b_j``: value ``(prod_j a_j)^(1/d)``, maximizer
+    ``b_j = (prod a)^(1/d) / a_j`` (unique).  If some a_j is 0, L is 0
+    everywhere (independence is the corner a = 0): ``lambda* = 0`` with
+    maximizer 1_d.  The comonotone corner a = 1 gives 1 at 1_d.
     """
     a = [float(v) for v in alpha]
     if len(a) < 2:
         raise SpecError("alpha must have length >= 2")
     for j, v in enumerate(a):
-        if not (math.isfinite(v) and 0.0 < v < 1.0):
-            raise SpecError(f"alpha[{j}]={v} outside the open interval (0, 1)")
+        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+            raise SpecError(f"alpha[{j}]={v} outside [0, 1]")
+    if min(a) == 0.0:
+        return MtcmResult(0.0, (1.0,) * len(a), "closed_mo", _CLOSED_FORM_DIAG)
     lam = math.exp(math.fsum(math.log(v) for v in a) / len(a))
     b = tuple(lam / v for v in a)
     return MtcmResult(lam, b, "closed_mo", _CLOSED_FORM_DIAG)
@@ -230,8 +223,9 @@ def closed_form_mo(alpha: Sequence[float]) -> MtcmResult:
 
 def is_exchangeable(stdf: StdfModel) -> bool:
     """Conservative exchangeability detection (used only to pick a route;
-    a False here never affects correctness, only speed)."""
-    if isinstance(stdf, (Independence, Comonotone, Logistic)):
+    a False here never affects correctness, only speed).  Marshall-Olkin
+    with equal parameters includes the independence and comonotone corners."""
+    if isinstance(stdf, Logistic):
         return True
     if isinstance(stdf, MarshallOlkin):
         return len(set(stdf.alpha)) == 1
@@ -603,19 +597,17 @@ def grid_oracle(
 def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> MtcmResult:
     """Route to the tightest available method; the result carries the tag.
 
-    Survival Marshall-Olkin (parameters strictly inside the unit box) and
-    nested Archimedean trees get closed forms; Archimax (Archimedean
-    copulas included, as Archimax over independence) goes through
-    ``archimax_mtcm`` (closed form when l is exchangeable, else one start
-    from the diagonal); everything else runs the direct search.  A tree
-    whose ``lambda*`` is below 1e-12 is reported as 0 with maximizer 1_d,
-    as in ``optimize``.
+    Survival Marshall-Olkin on the closed box [0, 1]^d (independence and
+    comonotone are its corners) and nested Archimedean trees get closed
+    forms; the Marshall-Olkin route takes an l of exactly that type, since a
+    subclass may change ``_value``.  Archimax (Archimedean copulas included,
+    as Archimax over independence) goes through ``archimax_mtcm`` (closed
+    form when l is exchangeable, else one start from the diagonal);
+    everything else runs the direct search.  A tree whose ``lambda*`` is
+    below 1e-12 is reported as 0 with maximizer 1_d, as in ``optimize``.
     """
-    if isinstance(model, SurvivalEvc) and isinstance(model.stdf, MarshallOlkin):
-        a = model.stdf.alpha
-        if all(0.0 < v < 1.0 for v in a):
-            return closed_form_mo(a)
-        return optimize(model, config)
+    if isinstance(model, SurvivalEvc) and type(model.stdf) is MarshallOlkin:
+        return closed_form_mo(model.stdf.alpha)
     if isinstance(model, NacCopula):
         lam = model.tree.mtcm_closed()
         if lam < _DEGENERACY_EPS:

@@ -290,6 +290,8 @@ class NacTree:
             a = self._alpha[v]
             vals = [rec(c) for c in self._children[v]]
             mn = min(vals)
+            if mn == 0.0:  # a subtree underflowed; L <= min makes this 0
+                return 0.0
             inv = -1.0 / a
             s = sum((u / mn) ** inv for u in vals)
             return mn * s ** (-a)
@@ -314,9 +316,10 @@ class NacTree:
             vals = np.column_stack([rec(c) for c in self._children[v]])
             mn = vals.min(axis=1)
             # a ratio that overflows is inf, whose negative power is the
-            # limit 0
-            with np.errstate(over="ignore"):
-                s = np.power(vals / mn[:, None], -1.0 / a).sum(axis=1)
+            # limit 0; a row whose subtree underflowed to 0 divides by 1
+            # instead, and its 0 ** (-1/a) = inf gives mn * 0 = 0
+            with np.errstate(over="ignore", divide="ignore"):
+                s = np.power(vals / np.where(mn > 0.0, mn, 1.0)[:, None], -1.0 / a).sum(axis=1)
             return mn * s ** (-a)
 
         return rec(vertex)

@@ -5,6 +5,11 @@ A stable tail dependence function l : [0, inf)^d -> [0, inf) is convex,
 here supports exact-zero coordinates (with the convention ``0**p = 0`` for
 ``p > 0``), which is what the sub-vector margins ``l_S`` need.
 
+The two extreme models, independence (``l = sum x``) and comonotonicity
+(``l = max x``), are the corners a = 0 and a = 1 of the Marshall-Olkin
+family on its closed box [0, 1]^d; ``Independence(d)`` and ``Comonotone(d)``
+build them as such.
+
 All models are immutable after construction and expose two evaluation paths:
 ``value`` (scalar, pure-Python floats, fast enough to sit inside an optimizer
 loop) and ``value_batch`` (vectorized over an ``(n, d)`` array of points).
@@ -70,6 +75,14 @@ def _as_batch(X, dim: int) -> np.ndarray:
 def _check_param(cond: bool, msg: str) -> None:
     if not cond:
         raise SpecError(msg)
+
+
+def _check_dimension(d: int) -> int:
+    """A dimension in [2, 10^7]: evaluation allocates d floats per point."""
+    d = int(d)
+    _check_param(d >= 2, "dimension must be >= 2")
+    _check_param(d <= _MAX_POINTS, f"dimension {d} exceeds the cap of {_MAX_POINTS}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -148,52 +161,6 @@ class StdfModel:
 
 
 @dataclass(frozen=True)
-class Independence(StdfModel):
-    """l(x) = sum_j x_j, the independence stable tail dependence function."""
-
-    dimension: int
-
-    family: ClassVar[str] = "independence"
-
-    def __post_init__(self) -> None:
-        _check_param(int(self.dimension) >= 2, "dimension must be >= 2")
-        object.__setattr__(self, "dimension", int(self.dimension))
-
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def _value(self, xs: list[float]) -> float:
-        return math.fsum(xs)
-
-    def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        return X.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class Comonotone(StdfModel):
-    """l(x) = max_j x_j, the lower bound among stable tail dependence functions."""
-
-    dimension: int
-
-    family: ClassVar[str] = "comonotone"
-
-    def __post_init__(self) -> None:
-        _check_param(int(self.dimension) >= 2, "dimension must be >= 2")
-        object.__setattr__(self, "dimension", int(self.dimension))
-
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def _value(self, xs: list[float]) -> float:
-        return max(xs)
-
-    def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        return X.max(axis=1)
-
-
-@dataclass(frozen=True)
 class Logistic(StdfModel):
     """Gumbel/logistic family ``l(x) = (sum_j x_j**s) ** (1/s)`` with s >= 1.
 
@@ -209,7 +176,7 @@ class Logistic(StdfModel):
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "dimension", int(self.dimension))
         _check_param(math.isfinite(self.s) and self.s >= 1.0, "logistic exponent s must be >= 1")
-        _check_param(self.dimension >= 2, "dimension must be >= 2")
+        _check_dimension(self.dimension)
 
     @property
     def dim(self) -> int:
@@ -229,15 +196,14 @@ class Logistic(StdfModel):
 class MarshallOlkin(StdfModel):
     """Common-shock family ``l(x) = sum_j (1-a_j) x_j + max_j a_j x_j``.
 
-    Parameters a_j live in the open box (0, 1)^d.  ``with_boundary`` admits the
-    closed box [0, 1]^d for boundary checks in tests (a_j = 1 for all j reduces
-    to the comonotone max, a_j = 0 for all j to independence).
+    Parameters a_j live in the open box (0, 1)^d; ``with_boundary`` admits
+    the closed box [0, 1]^d.  Its two corners are the extreme models, built
+    by ``Independence`` (a = 0, ``l = sum x``) and ``Comonotone`` (a = 1,
+    ``l = max x``); a corner reports that family, with no parameters.
     """
 
     alpha: tuple[float, ...]
     _allow_boundary: bool = field(default=False, repr=False, compare=False)
-
-    family: ClassVar[str] = "marshall_olkin"
 
     def __post_init__(self) -> None:
         a = tuple(float(v) for v in self.alpha)
@@ -252,8 +218,17 @@ class MarshallOlkin(StdfModel):
 
     @classmethod
     def with_boundary(cls, alpha: Sequence[float]) -> "MarshallOlkin":
-        """Construct with parameters allowed on the closed box [0, 1]^d (tests only)."""
-        return cls(tuple(float(v) for v in alpha), _allow_boundary=True)
+        """Construct with parameters allowed on the closed box [0, 1]^d."""
+        return cls(tuple(alpha), _allow_boundary=True)
+
+    @property
+    def family(self) -> str:
+        corner = set(self.alpha)
+        if corner == {0.0}:
+            return "independence"
+        if corner == {1.0}:
+            return "comonotone"
+        return "marshall_olkin"
 
     @property
     def dim(self) -> int:
@@ -275,7 +250,17 @@ class MarshallOlkin(StdfModel):
         return X @ (1.0 - a) + (X * a).max(axis=1)
 
     def params(self) -> dict:
-        return {"alpha": list(self.alpha)}
+        return {"alpha": list(self.alpha)} if self.family == "marshall_olkin" else {}
+
+
+def Independence(dimension: int) -> MarshallOlkin:
+    """``l(x) = sum_j x_j``, the Marshall-Olkin corner a = 0."""
+    return MarshallOlkin.with_boundary((0.0,) * _check_dimension(dimension))
+
+
+def Comonotone(dimension: int) -> MarshallOlkin:
+    """``l(x) = max_j x_j``, the smallest l: the Marshall-Olkin corner a = 1."""
+    return MarshallOlkin.with_boundary((1.0,) * _check_dimension(dimension))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ x_j``.  Four routes are implemented:
 * ``SurvivalEvc``: survival copula of an extreme value copula with stable tail
   dependence function l, via the alternating sum of sub-vector margins
   ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``.  The sum is routed by the
-  type of l: Marshall-Olkin collapses to ``min_j a_j x_j`` (the linear part
+  type of l: Marshall-Olkin, independence and comonotone included as the
+  corners of its closed box, collapses to ``min_j a_j x_j`` (the linear part
   cancels, and max-min inclusion-exclusion turns the max part into a min), a
   mixture splits into its components (the sum is linear in l), and a scalar
   logistic evaluation walks the subsets with running power sums; every other
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +52,10 @@ MAX_TRANSFORM_DEPTH = 200  # generator descriptors are resolved recursively
 # round-off from the alternating sum: clamp small negatives, reject anything
 # clearly beyond accumulated floating-point error
 _CLAMP_REL = 1e-9
+
+# ``value`` scales a point with an entry above 2^960 down by a power of two;
+# below it, 2^20 margins of at most 20 max_j x_j each cannot overflow a sum
+_RESCALE_EXP = 960
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +160,12 @@ def _logistic_terms(x: list[float], s: float):
                 acc[t] = acc[t - 1] + r[k]
 
 
+def _row_min(X: np.ndarray) -> np.ndarray:
+    """Row-wise minimum of an (n, d) array by d - 1 column passes, which
+    numpy runs far faster than a reduction along the short axis 1."""
+    return reduce(np.minimum, X.T)
+
+
 def _survival_sum(stdf: StdfModel, x, batch: bool):
     """Alternating margin sum of ``stdf`` at one point (a list) or row-wise
     over an (n, d) array, unclamped.
@@ -168,7 +179,7 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
     kind = type(stdf)
     if kind is MarshallOlkin:
         if batch:
-            return (x * np.asarray(stdf.alpha)).min(axis=1)
+            return _row_min(x * np.asarray(stdf.alpha))
         return min(a * v for a, v in zip(stdf.alpha, x))
     if kind is Mixture:
         w = stdf.weight
@@ -202,11 +213,17 @@ class TailCopulaModel:
         raise NotImplementedError
 
     def value(self, x: Sequence[float]) -> float:
-        """Evaluate L(x); zero coordinates give 0."""
+        """Evaluate L(x); zero coordinates give 0.  A point with an entry
+        above 2^960 is evaluated scaled down by a power of two (L is
+        1-homogeneous); entries that this takes below the normal range lose
+        precision, so that value is held to ``L <= min_j x_j``."""
         xs = _as_point(x, self.dim)
-        if min(xs) == 0.0:
-            return 0.0
-        return self._value(xs)
+        k = math.frexp(max(xs))[1] - _RESCALE_EXP
+        if k <= 0:
+            return 0.0 if min(xs) == 0.0 else self._value(xs)
+        ys = [math.ldexp(v, -k) for v in xs]
+        lo = min(ys)
+        return 0.0 if lo == 0.0 else min(math.ldexp(min(self._value(ys), lo), k), min(xs))
 
     def value_batch(self, X) -> np.ndarray:
         """Row-wise L over an (n, d) array; rows with zeros give 0."""
@@ -239,9 +256,12 @@ class SurvivalEvc(TailCopulaModel):
       power sums over the sorted coordinates, one power per margin instead
       of d, and summed exactly with ``math.fsum``.
 
-    Every other l (Tawn, independence, comonotone, subclasses, and logistic
-    on the batch path) sums its margins in Gray-code order with
-    Neumaier-compensated summation.
+    Every other l (Tawn, subclasses, and logistic on the batch path) sums
+    its margins in Gray-code order with Neumaier-compensated summation.
+
+    Far from the diagonal the round-off of the largest margin can exceed
+    ``min_j x_j``; the sum is projected into ``[0, min_j x_j]``, where the
+    true value lies.  A sum below -1e-9 ``max(1, sum_j x_j)`` raises.
     """
 
     stdf: StdfModel
@@ -259,17 +279,16 @@ class SurvivalEvc(TailCopulaModel):
     def dim(self) -> int:
         return self.stdf.dim
 
-    def _finish(self, total: float, scale: float) -> float:
+    def _value(self, xs: list[float]) -> float:
+        total = _survival_sum(self.stdf, xs, False)
         if total < 0.0:
+            scale = math.fsum(xs)
             if total < -_CLAMP_REL * max(1.0, scale):
                 raise NumericalError(
                     f"alternating margin sum returned {total}, far below zero for scale {scale}"
                 )
             return 0.0
-        return total
-
-    def _value(self, xs: list[float]) -> float:
-        return self._finish(_survival_sum(self.stdf, xs, False), math.fsum(xs))
+        return min(total, min(xs))
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
         total = _survival_sum(self.stdf, X, True)
@@ -280,7 +299,7 @@ class SurvivalEvc(TailCopulaModel):
             raise NumericalError(
                 f"alternating margin sum returned {total[i]} at row {i}, far below zero"
             )
-        return np.maximum(total, 0.0)
+        return np.minimum(np.maximum(total, 0.0), _row_min(X))
 
 
 @dataclass(frozen=True)

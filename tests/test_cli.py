@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tailmax import parse_tail_copula, to_spec
+from tailmax.modelspec import STDF_FAMILIES
 from tailmax.cli import main
 from tailmax.sealevel import LABELS
 
@@ -431,6 +432,161 @@ def test_subcommand_cli_contract(write_json, capsys, call):
         b = result["b_star"]
         assert abs(math.fsum(math.log(v) for v in b)) <= 1e-10
         assert result["lambda_star"] <= min(b) + 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["mtcm"], {"family": "archimedean", "dimension": 10 ** 12, "params": {"alpha": 1}}),
+        (["mtcm"], {"family": "archimax", "dimension": 10 ** 12, "params": {"alpha": 1, "stdf": {
+            "family": "logistic", "dimension": 10 ** 12, "params": {"s": 2}}}}),
+        (["eval", "--x", "1,1"], {"family": "independence", "dimension": 10 ** 12}),
+        (["eval", "--x", "1,1"], {"family": "comonotone", "dimension": 10 ** 12}),
+    ],
+)
+def test_huge_dimension_is_usage_error(write_json, capsys, argv, spec):
+    # rejected before d floats are allocated
+    code, out, err = run(capsys, *argv, "--model", write_json("big.json", spec))
+    assert code == 2
+    assert out == ""
+    assert "exceeds the cap of 10000000" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, lam", [("independence", 0.0), ("comonotone", 1.0)])
+def test_mtcm_on_corners_is_closed_form(write_json, capsys, family, lam):
+    path = write_json("corner.json", {"family": family, "dimension": 4})
+    code, out, _ = run(capsys, "mtcm", "--model", path, "--format", "json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["method"] == "closed_mo"
+    assert result["lambda_star"] == lam
+    assert result["b_star"] == [1.0] * 4
+    assert result["diagnostics"]["function_evals"] == 0
+
+
+@pytest.mark.parametrize("log_range", ["5", "10"])
+def test_oracle_on_independence_is_exactly_zero(write_json, capsys, log_range):
+    path = write_json("ind.json", {"family": "independence", "dimension": 4})
+    code, out, err = run(capsys, "oracle", "--model", path, "--grid-n", "11",
+                         "--log-range", log_range, "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["result"]["lambda_star"] == 0.0
+
+
+def test_oracle_far_from_diagonal_stays_bounded(write_json, capsys):
+    # margins near e^450 leave round-off far above min_j b_j, which is
+    # projected away: the maximum stays at the diagonal
+    spec = {"family": "logistic", "dimension": 4, "params": {"s": 2}}
+    code, out, err = run(capsys, "oracle", "--model", write_json("log.json", spec),
+                         "--grid-n", "11", "--log-range", "150", "--format", "json")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["lambda_star"] == pytest.approx(parse_tail_copula(spec).diagonal(), rel=1e-12)
+    assert result["b_star"] == [1.0] * 4
+
+
+def test_eval_near_float_max(write_json, capsys):
+    spec = {"family": "logistic", "dimension": 3, "params": {"s": 2}}
+    code, out, err = run(capsys, "eval", "--model", write_json("log.json", spec),
+                         "--x", "1e308,1e308,1e308", "--format", "json")
+    assert code == 0, err
+    value = json.loads(out)["value"]
+    assert value == pytest.approx(1e308 * parse_tail_copula(spec).diagonal(), rel=1e-12)
+
+
+def test_underflowed_subtree_gives_zero(write_json, capsys):
+    # the inner vertex's value underflows to 0 at every positive point
+    tree = {"alpha": 1e-300, "children": [{"alpha": 1e300, "children": [{}, {}]}, {}]}
+    path = write_json("nac.json", {"family": "nac", "params": {"tree": tree}})
+    for argv in (["eval", "--x", "1,1,1"], ["oracle", "--grid-n", "11"]):
+        code, out, err = run(capsys, *argv, "--model", path, "--format", "json")
+        assert code == 0, err
+        obj = json.loads(out)
+        assert (obj["value"] if argv[0] == "eval" else obj["result"]["lambda_star"]) == 0.0
+
+
+def _leaves(tree):
+    return sum(_leaves(c) if "children" in c else 1 for c in tree["children"])
+
+
+@st.composite
+def _eval_spec(draw):
+    """``(spec, d)``: a well-formed spec of any stable-tail-dependence family
+    (the survival route), Archimax, Archimedean or nested-tree spec, and the
+    dimension of its model."""
+    kind = draw(st.sampled_from(STDF_FAMILIES + ("archimax", "archimedean", "nac")))
+    d = 3 if kind in ("tawn1", "tawn2") else draw(st.integers(min_value=2, max_value=6))
+    if kind in ("independence", "comonotone"):
+        return {"family": kind, "dimension": d}, d
+    if kind == "archimax":
+        spec = draw(_archimax_spec())
+        return spec, spec["dimension"]
+    if kind == "archimedean":
+        return {"family": kind, "dimension": d, "params": {"alpha": draw(_INDEX)}}, d
+    if kind == "nac":
+        tree = draw(_tree())
+        return {"family": "nac", "params": {"tree": tree}}, _leaves(tree)
+    return draw(_stdf_spec(d, family=kind)), d
+
+
+def _paths(node, path=()):
+    """Every key path in a JSON tree, the root's ``()`` first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(v, path + (k,))
+
+
+_JUNK = st.sampled_from(["x", [], [1.0, "x"], None, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _malformed(draw, spec):
+    """``spec`` with one key dropped or one value swapped for junk, or a
+    root that is not an object."""
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        return draw(st.sampled_from([[], [spec], "independence", 3, None]))
+    spec = json.loads(json.dumps(spec))
+    *head, last = draw(st.sampled_from(list(_paths(spec))[1:]))
+    parent = spec
+    for k in head:
+        parent = parent[k]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[last]
+    else:
+        parent[last] = draw(_JUNK)
+    return spec
+
+
+# a coordinate of --x, log-uniform in [1e-308, 1e308]
+_COORD = st.one_of(
+    st.sampled_from([1e-308, 1.0, 1e308]),
+    st.floats(min_value=-308.0, max_value=308.0).map(lambda e: 10.0 ** e),
+)
+
+
+@st.composite
+def _eval_call(draw):
+    spec, d = draw(_eval_spec())
+    if draw(st.booleans()):
+        spec = draw(_malformed(spec))
+    return spec, draw(st.lists(_COORD, min_size=d, max_size=d))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(call=_eval_call())
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_eval_cli_contract(write_json, capsys, call):
+    spec, x = call
+    code, out, err = run(capsys, "eval", "--model", write_json("model.json", spec),
+                         "--x", ",".join(repr(v) for v in x), "--format", "json")
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    if code == 0:
+        value = json.loads(out)["value"]
+        assert math.isfinite(value)
+        assert 0.0 <= value <= min(x)
 
 
 def _deep_tree_text(depth):

@@ -77,13 +77,18 @@ def test_closed_mo_matches_hand_formula():
         assert_allclose(r.b_star, b, rtol=1e-13)
 
 
-def test_closed_mo_rejects_boundary():
-    with pytest.raises(SpecError):
-        closed_form_mo((0.5, 1.0))
-    with pytest.raises(SpecError):
-        closed_form_mo((0.0, 0.5))
-    with pytest.raises(SpecError):
-        closed_form_mo((0.5,))
+def test_closed_mo_covers_closed_box():
+    for alpha in ((0.5,), (0.5, 1.1), (-0.1, 0.5), (0.5, float("nan"))):
+        with pytest.raises(SpecError):
+            closed_form_mo(alpha)
+    r = closed_form_mo((0.5, 1.0))
+    assert_allclose(r.lambda_star, math.sqrt(0.5), rtol=1e-15)
+    assert_allclose(r.b_star, (math.sqrt(2.0), math.sqrt(0.5)), rtol=1e-15)
+    # a zero parameter makes L vanish everywhere
+    r = closed_form_mo((0.0, 0.5))
+    assert r.method == "closed_mo"
+    assert r.lambda_star == 0.0
+    assert r.b_star == (1.0, 1.0)
 
 
 def test_archimax_exchangeable_closed_forms():
@@ -425,11 +430,12 @@ def test_dispatch_routes_tawn_to_optimizer():
     assert r.method == "optimizer"
 
 
-def test_dispatch_boundary_mo_falls_back_to_search():
+def test_dispatch_boundary_mo_uses_closed_form():
     stdf = MarshallOlkin.with_boundary((1.0, 1.0, 1.0))
     r = dispatch(SurvivalEvc(stdf), FAST)
-    assert r.method == "optimizer"
-    assert_allclose(r.lambda_star, 1.0, atol=1e-9)
+    assert r.method == "closed_mo"
+    assert r.lambda_star == 1.0
+    assert r.b_star == (1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +519,7 @@ def test_embed_budget_lands_on_unit_product_set():
 
 def test_config_round_trip_and_validation():
     cfg = OptimizerConfig(starts=4, seed=7, max_evals=5000, range_log=1.5, tol=1e-8)
-    assert OptimizerConfig.from_dict(cfg.to_dict()) == cfg
-    with pytest.raises(SpecError):
-        OptimizerConfig.from_dict({"starts": 4, "bogus": 1})
+    assert OptimizerConfig(**cfg.to_dict()) == cfg
     with pytest.raises(SpecError):
         OptimizerConfig(starts=-1)
     with pytest.raises(SpecError):

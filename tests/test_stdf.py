@@ -70,6 +70,22 @@ def test_marshall_olkin_boundary_constructor():
         MarshallOlkin.with_boundary((1.1, 0.5))
 
 
+def test_corners_are_marshall_olkin():
+    from tailmax import to_spec
+
+    for build, a, family in ((Independence, 0.0, "independence"), (Comonotone, 1.0, "comonotone")):
+        m = build(4)
+        assert type(m) is MarshallOlkin
+        assert m == MarshallOlkin.with_boundary((a,) * 4)
+        assert m.family == family and m.params() == {}
+        assert to_spec(m) == {"family": family, "dimension": 4, "params": {}}
+    # any other point of the closed box is Marshall-Olkin
+    m = MarshallOlkin.with_boundary((0.0, 1.0))
+    assert m.family == "marshall_olkin" and m.params() == {"alpha": [0.0, 1.0]}
+    with pytest.raises(SpecError, match="^dimension must be >= 2$"):
+        Comonotone(1)
+
+
 # ---------------------------------------------------------------------------
 # point evaluation
 # ---------------------------------------------------------------------------

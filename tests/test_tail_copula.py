@@ -49,11 +49,11 @@ def test_survival_comonotone_is_min():
 
 
 def test_survival_independence_is_zero():
-    # the alternating sum telescopes; only round-off (well under 1e-12) remains
+    # the Marshall-Olkin corner a = 0: min_j 0 * x_j, with no round-off
     tc = SurvivalEvc(Independence(4))
     rng = np.random.default_rng(5)
     for _ in range(20):
-        assert abs(tc.value(rng.uniform(0.1, 5.0, 4))) <= 1e-13
+        assert tc.value(rng.uniform(0.1, 5.0, 4)) == 0.0
 
 
 def test_survival_logistic_diagonal_reference():
@@ -202,7 +202,9 @@ def test_survival_dimension_cap():
 def test_survival_flags_inconsistent_margins():
     # a deliberately broken "function" whose full-set value is inflated makes
     # the alternating sum land far below zero: that is a bug, not round-off
-    class Inconsistent(Independence):
+    # a subclass of the independence corner: routed by exact type, it takes
+    # the Gray-code sum of its (altered) margins
+    class Inconsistent(MarshallOlkin):
         def _value(self, xs):
             full = all(v > 0.0 for v in xs)
             return (2.0 if full else 1.0) * super()._value(xs)
@@ -211,7 +213,7 @@ def test_survival_flags_inconsistent_margins():
             full = np.all(X > 0.0, axis=1)
             return np.where(full, 2.0, 1.0) * super()._value_batch(X)
 
-    tc = SurvivalEvc(Inconsistent(2))
+    tc = SurvivalEvc(Inconsistent.with_boundary((0.0, 0.0)))
     from tailmax import NumericalError
 
     with pytest.raises(NumericalError):
