@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EvaluationError, SpecError
+from .stdf import _row_min
 
 __all__ = ["NacTree", "NestingReport"]
 
@@ -314,7 +315,7 @@ class NacTree:
                 return A[:, rank[self._leaf_pos[v]]]
             a = self._alpha[v]
             vals = np.column_stack([rec(c) for c in self._children[v]])
-            mn = vals.min(axis=1)
+            mn = _row_min(vals)
             # a ratio that overflows is inf, whose negative power is the
             # limit 0; a row whose subtree underflowed to 0 divides by 1
             # instead, and its 0 ** (-1/a) = inf gives mn * 0 = 0

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import SpecError
-from .mtcm import _LOG_FLOAT_MAX, MtcmResult, OptimizerConfig, optimize
+from .mtcm import _LOG_FLOAT_MAX, MtcmResult, OptimizerConfig, dispatch
 from .stdf import _MAX_POINTS, StdfModel, TawnTypeI, TawnTypeII
 from .tail_copula import SurvivalEvc
 
@@ -132,7 +132,7 @@ class SeaLevelRow:
 def _compare(model: SeaLevelModel, config: OptimizerConfig | None) -> SeaLevelRow:
     tc = SurvivalEvc(model.stdf)
     lam = tc.diagonal()
-    result = optimize(tc, config)
+    result = dispatch(tc, config)
     exp = model.expected
     lam_diff = abs(lam - exp.lam)
     lam_star_diff = abs(result.lambda_star - exp.lam_star)

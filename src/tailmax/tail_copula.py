@@ -6,13 +6,10 @@ x_j``.  Four routes are implemented:
 
 * ``SurvivalEvc``: survival copula of an extreme value copula with stable tail
   dependence function l, via the alternating sum of sub-vector margins
-  ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``.  The sum is routed by the
-  type of l: Marshall-Olkin, independence and comonotone included as the
-  corners of its closed box, collapses to ``min_j a_j x_j`` (the linear part
-  cancels, and max-min inclusion-exclusion turns the max part into a min), a
-  mixture splits into its components (the sum is linear in l), and a scalar
-  logistic evaluation walks the subsets with running power sums; every other
-  l sums the ``2^d - 1`` margins directly;
+  ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``.  Any additive part of l
+  that ignores a coordinate cancels from the sum, so each family of l takes
+  an identity (listed under ``SurvivalEvc``); only an l of another type
+  sums its ``2^d - 1`` margins one by one;
 * ``Archimax``: generator with regular-variation index a > 0 plus an l,
   ``L(x) = l(x_1**(-1/a), ..., x_d**(-1/a)) ** (-a)``.  An Archimedean
   copula with a regularly varying generator is the case l = independence
@@ -28,14 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, SpecError
 from .nac import NacTree
-from .stdf import Logistic, MarshallOlkin, Mixture, StdfModel, _as_batch, _as_point, _check_param
+from .stdf import Logistic, MarshallOlkin, Mixture, StdfModel, TawnTypeI, TawnTypeII
+from .stdf import _as_batch, _as_point, _check_param, _powsum_root, _powsum_root_np, _row_min
 
 __all__ = [
     "TailCopulaModel",
@@ -58,76 +55,26 @@ _CLAMP_REL = 1e-9
 _RESCALE_EXP = 960
 
 
-@lru_cache(maxsize=None)
-def _gray_schedule(d: int) -> tuple[tuple[int, int], ...]:
-    """Per-step (flipped coordinate, sign) for the 2^d - 1 nonempty subsets.
-
-    Subsets are visited in Gray-code order so each step toggles one coordinate
-    of the masked point; sign is (-1)^(|S|-1).
-    """
-    out = []
-    in_subset = [False] * d
-    size = 0
-    for k in range(1, 1 << d):
-        j = (k & -k).bit_length() - 1
-        in_subset[j] = not in_subset[j]
-        size += 1 if in_subset[j] else -1
-        out.append((j, 1 if size % 2 == 1 else -1))
-    return tuple(out)
-
-
-def _gray_sum(ell, xs: list[float]) -> float:
-    """Alternating sum of the margins of ``ell`` at one point.
-
-    Terms are accumulated with Neumaier-compensated summation in Gray-code
-    order, reusing one masked point, because the sum cancels almost completely
-    when l is close to independence.
-    """
-    d = len(xs)
-    y = [0.0] * d
-    s = 0.0
-    comp = 0.0
-    for j, sign in _gray_schedule(d):
-        y[j] = xs[j] if y[j] == 0.0 else 0.0
-        term = ell(y)
-        if sign < 0:
-            term = -term
-        t = s + term
-        if abs(s) >= abs(term):
-            comp += (s - t) + term
-        else:
-            comp += (term - t) + s
-        s = t
-    return s + comp
-
-
-def _gray_sum_batch(ell, X: np.ndarray) -> np.ndarray:
-    """Row-wise ``_gray_sum`` over an (n, d) array."""
-    n, d = X.shape
-    Y = np.zeros_like(X)
-    active = [False] * d
-    s = np.zeros(n)
-    comp = np.zeros(n)
-    for j, sign in _gray_schedule(d):
-        active[j] = not active[j]
-        Y[:, j] = X[:, j] if active[j] else 0.0
-        term = ell(Y)
-        if sign < 0:
-            term = -term
+def _neumaier(terms) -> np.ndarray:
+    """Row-wise Neumaier-compensated sum of an iterable of arrays; the
+    alternating sums cancel almost completely near independence."""
+    s = comp = 0.0
+    for term in terms:
         t = s + term
         comp += np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
         s = t
     return s + comp
 
 
-def _logistic_terms(x: list[float], s: float):
+def _logistic_terms(x, s: float):
     """Signed terms ``(-1)^(|S|-1) l_S(x)`` of the logistic alternating sum.
 
-    ``x`` is sorted in descending order and positive.  The subsets whose
-    largest coordinate is x_i are walked depth-first over the later
-    coordinates, keeping the running sum ``1 + sum_{j in S} (x_j / x_i)^s``
-    for each level, so a subset costs one add and one power:
-    ``l_S(x) = x_i * (running sum) ** (1/s)``.  Memory is O(d).
+    ``x`` is a descending sequence of positive floats, or of the columns of
+    a row-sorted array, so every ratio ``(x_j / x_i)^s`` lies in [0, 1].  The
+    subsets whose largest coordinate is x_i are walked depth-first over the
+    later coordinates, keeping the running sum ``1 + sum_{j in S} (x_j /
+    x_i)^s`` for each level, so a subset costs one add and one power:
+    ``l_S(x) = x_i * (running sum) ** (1/s)``.  Memory is O(d) terms.
     """
     inv = 1.0 / s
     d = len(x)
@@ -160,10 +107,34 @@ def _logistic_terms(x: list[float], s: float):
                 acc[t] = acc[t - 1] + r[k]
 
 
-def _row_min(X: np.ndarray) -> np.ndarray:
-    """Row-wise minimum of an (n, d) array by d - 1 column passes, which
-    numpy runs far faster than a reduction along the short axis 1."""
-    return reduce(np.minimum, X.T)
+def _logistic_sum(x, s: float, batch: bool):
+    """Survival logistic sum at one point or row-wise; a zero coordinate
+    gives 0 (``L <= min x``), which also keeps the ratios finite."""
+    if not batch:
+        xs = sorted(x, reverse=True)
+        return 0.0 if xs[-1] == 0.0 else math.fsum(_logistic_terms(xs, s))
+    cols = np.sort(x, axis=1).T[::-1]
+    ok = cols[-1] > 0.0
+    out = np.zeros(x.shape[0])
+    out[ok] = _neumaier(_logistic_terms(cols[:, ok], s))
+    return out
+
+
+def _subset_sum(stdf: StdfModel, X: np.ndarray) -> np.ndarray:
+    """Row-wise alternating sum over the nonempty subset bitmasks, for an l
+    that no identity covers."""
+    bits = np.arange(X.shape[1])
+    return _neumaier(
+        (1 if bin(m).count("1") & 1 else -1) * stdf._value_batch(X * ((m >> bits) & 1))
+        for m in range(1, 1 << X.shape[1])
+    )
+
+
+def _needs_subsets(stdf: StdfModel) -> bool:
+    """Whether some component of l takes a route with 2^d - 1 terms."""
+    if type(stdf) is Mixture:
+        return _needs_subsets(stdf.first) or _needs_subsets(stdf.second)
+    return type(stdf) is not MarshallOlkin
 
 
 def _survival_sum(stdf: StdfModel, x, batch: bool):
@@ -172,9 +143,9 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
 
     Routed by the exact type of ``stdf``, since a subclass may change
     ``_value`` and with it the identity; ``SurvivalEvc`` lists the routes.
-    The Marshall-Olkin identity holds on the closed box [0, 1]^d: each x_j
-    of the linear part appears in subsets whose signs sum to 0, and max-min
-    inclusion-exclusion turns the max part into the min.
+    Each identity drops the additive parts of l that ignore a coordinate:
+    subsets with and without that coordinate give the same margin with
+    opposite signs.
     """
     kind = type(stdf)
     if kind is MarshallOlkin:
@@ -186,14 +157,26 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
         return w * _survival_sum(stdf.first, x, batch) + (1.0 - w) * _survival_sum(
             stdf.second, x, batch
         )
-    if batch:
-        return _gray_sum_batch(stdf._value_batch, x)
     if kind is Logistic:
-        xs = sorted(x, reverse=True)
-        if xs[-1] == 0.0:  # L <= min x; also keeps the ratios finite
-            return 0.0
-        return math.fsum(_logistic_terms(xs, stdf.s))
-    return _gray_sum(stdf._value, x)
+        return _logistic_sum(x, stdf.s, batch)
+    if kind is TawnTypeI:  # the logistic at theta * x: 0 if some theta_j is 0
+        y = x * np.asarray(stdf.theta) if batch else [t * v for t, v in zip(stdf.theta, x)]
+        return _logistic_sum(y, stdf.s, batch)
+    if kind is TawnTypeII:  # phi times the nested logistic ||(u, x3)||_s
+        if batch:
+            x1, x2, x3 = x.T
+            norm = lambda a, b, p: _powsum_root_np(np.column_stack([a, b]), p)
+            add = _neumaier
+        else:
+            x1, x2, x3 = x
+            norm = lambda a, b, p: _powsum_root((a, b), p)
+            add = math.fsum
+        s = stdf.s
+        u = norm(x1, x2, stdf.r * s)
+        return stdf.phi * add((x1, x2, x3, -u, -norm(x1, x3, s), -norm(x2, x3, s), norm(u, x3, s)))
+    if batch:
+        return _subset_sum(stdf, x)
+    return float(_subset_sum(stdf, np.array([x]))[0])
 
 
 @dataclass(frozen=True)
@@ -228,7 +211,7 @@ class TailCopulaModel:
     def value_batch(self, X) -> np.ndarray:
         """Row-wise L over an (n, d) array; rows with zeros give 0."""
         A = _as_batch(X, self.dim)
-        positive = np.all(A > 0.0, axis=1)
+        positive = _row_min(A) > 0.0
         if np.all(positive):
             return self._value_batch(A)
         out = np.zeros(A.shape[0])
@@ -245,19 +228,26 @@ class TailCopulaModel:
 class SurvivalEvc(TailCopulaModel):
     """Survival route: alternating sum of the 2^d - 1 sub-vector margins.
 
-    Which l skip the blind sum, and why (see ``_survival_sum``):
+    The sum is routed by the exact type of l (see ``_survival_sum``):
 
     * Marshall-Olkin: ``L(x) = min_j a_j x_j`` in O(d), because the linear
       part of l cancels and max-min inclusion-exclusion turns the max part
       into the min;
     * a mixture ``w l_1 + (1-w) l_2``: ``w L_1 + (1-w) L_2``, because the sum
       is linear in l;
-    * logistic, scalar path: the same 2^d - 1 margins, but built from running
-      power sums over the sorted coordinates, one power per margin instead
-      of d, and summed exactly with ``math.fsum``.
+    * logistic: the 2^d - 1 margins from running power sums over the
+      coordinates in descending order, one power per margin instead of d,
+      summed with ``math.fsum`` (one point) or Neumaier's sum (row-wise);
+    * Tawn I: the logistic with exponent s at ``(t1 x1, t2 x2, t3 x3)``, since
+      the r-term and ``(1 - t3) x3`` cancel; 0 if some ``t_j`` is 0;
+    * Tawn II: ``phi`` times the survival nested logistic
+      ``x1 + x2 + x3 - u - ||(x1, x3)||_s - ||(x2, x3)||_s + ||(u, x3)||_s``
+      with ``u = ||(x1, x2)||_(rs)``, since the ``(1 - phi)`` part cancels
+      (Tawn, Biometrika 1990).
 
-    Every other l (Tawn, subclasses, and logistic on the batch path) sums
-    its margins in Gray-code order with Neumaier-compensated summation.
+    Any other l (a subclass, or a user-defined l) sums its margins over the
+    subset bitmasks.  Only routes with 2^d - 1 terms cap d at
+    ``MAX_SUBSET_DIM``; Marshall-Olkin l, and mixtures of them, take any d.
 
     Far from the diagonal the round-off of the largest margin can exceed
     ``min_j x_j``; the sum is projected into ``[0, min_j x_j]``, where the
@@ -271,7 +261,7 @@ class SurvivalEvc(TailCopulaModel):
     def __post_init__(self) -> None:
         _check_param(isinstance(self.stdf, StdfModel), "stdf must be an StdfModel")
         _check_param(
-            self.stdf.dim <= MAX_SUBSET_DIM,
+            self.stdf.dim <= MAX_SUBSET_DIM or not _needs_subsets(self.stdf),
             f"survival route needs 2^d - 1 margin terms; d={self.stdf.dim} exceeds {MAX_SUBSET_DIM}",
         )
 
@@ -292,10 +282,10 @@ class SurvivalEvc(TailCopulaModel):
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
         total = _survival_sum(self.stdf, X, True)
-        scale = np.maximum(1.0, X.sum(axis=1))
-        bad = total < -_CLAMP_REL * scale
-        if np.any(bad):
-            i = int(np.argmax(bad))
+        neg = np.flatnonzero(total < 0.0)  # the scale is needed on these rows only
+        bad = neg[total[neg] < -_CLAMP_REL * np.maximum(1.0, X[neg].sum(axis=1))]
+        if bad.size:
+            i = int(bad[0])
             raise NumericalError(
                 f"alternating margin sum returned {total[i]} at row {i}, far below zero"
             )
@@ -335,7 +325,7 @@ class Archimax(TailCopulaModel):
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
         a = self.alpha
-        mn = X.min(axis=1)
+        mn = _row_min(X)
         Z = np.power(mn[:, None] / X, 1.0 / a)
         return mn * self.stdf._value_batch(Z) ** (-a)
 

@@ -1,7 +1,7 @@
 """Independent oracles and random-model helpers shared by the test modules.
 
 Everything here is deliberately written as flat arithmetic over plain floats,
-independent of the package's evaluation paths (Gray-code subset enumeration,
+independent of the package's evaluation paths (subset identities,
 compensated summation, log-space products), so agreement is meaningful.
 """
 

@@ -464,6 +464,16 @@ def test_mtcm_on_corners_is_closed_form(write_json, capsys, family, lam):
     assert result["diagnostics"]["function_evals"] == 0
 
 
+def test_mtcm_closed_mo_beyond_subset_cap(write_json, capsys):
+    # the survival MO route is O(d), so the 2^d - 1 subset cap does not apply
+    spec = {"family": "marshall_olkin", "dimension": 21, "params": {"alpha": [0.5] * 21}}
+    code, out, err = run(capsys, "mtcm", "--model", write_json("mo21.json", spec), "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["method"] == "closed_mo"
+    assert result["lambda_star"] == 0.5
+
+
 @pytest.mark.parametrize("log_range", ["5", "10"])
 def test_oracle_on_independence_is_exactly_zero(write_json, capsys, log_range):
     path = write_json("ind.json", {"family": "independence", "dimension": 4})

@@ -37,6 +37,7 @@ TC_MODELS = [
     MixtureTail(0.4, Archimax(Independence(3), 0.5), SurvivalEvc(Logistic(2.0, 3))),
     SurvivalEvc(Mixture(0.4, MarshallOlkin((0.3, 0.6, 0.8, 0.5)), MarshallOlkin((0.7, 0.2, 0.4, 0.9)))),
     SurvivalEvc(Logistic(1.8, 6)),
+    SurvivalEvc(Logistic(200.0, 5)),
 ]
 
 
@@ -105,14 +106,45 @@ def test_survival_mo_equals_min_closed_form():
             Mixture(0.6, MarshallOlkin((0.2, 0.5, 0.8)), Logistic(2.5, 3)),
             Mixture(0.5, TawnTypeI(s=7.44, r=2.21, theta=(0.23, 0.23, 0.55)), MarshallOlkin((0.7, 0.4, 0.3))),
         ),
+        TawnTypeI(s=2.48, r=1.5, theta=(0.6, 0.0, 0.4)),  # a zero weight: L = 0
+        TawnTypeI(s=2.48, r=1.5, theta=(1.0, 1.0, 1.0)),  # the logistic, exponent s
+        TawnTypeII(s=1.59, r=1.27, t=3.0, phi=0.0),  # L = 0
+        TawnTypeII(s=1.59, r=1.27, t=3.0, phi=1.0),
     ],
 )
 def test_survival_route_matches_naive_subset_sum(stdf):
     rng = np.random.default_rng(19)
     tc = SurvivalEvc(stdf)
-    for _ in range(20):
-        x = rng.uniform(0.1, 4.0, stdf.dim)
-        assert_allclose(tc.value(x), naive_survival_tail(stdf, x), atol=1e-12)
+    X = rng.uniform(0.1, 4.0, (20, stdf.dim))
+    naive = [naive_survival_tail(stdf, x) for x in X]
+    assert_allclose([tc.value(x) for x in X], naive, atol=1e-12)
+    assert_allclose(tc.value_batch(X), naive, atol=1e-12)
+
+
+def test_survival_tawn_identities():
+    x = [0.7, 1.9, 1.3]
+    assert SurvivalEvc(TawnTypeI(s=2.48, r=1.5, theta=(0.6, 0.0, 0.4))).value(x) == 0.0
+    assert SurvivalEvc(TawnTypeII(s=1.59, r=1.27, t=3.0, phi=0.0)).value(x) == 0.0
+    assert_allclose(
+        SurvivalEvc(TawnTypeI(s=2.48, r=1.5, theta=(1.0, 1.0, 1.0))).value(x),
+        SurvivalEvc(Logistic(2.48, 3)).value(x),
+        rtol=1e-15,
+    )
+    # t_j x_j can underflow to 0 on a positive point: L = 0 on both paths
+    tc = SurvivalEvc(TawnTypeI(s=2.48, r=1.5, theta=(1.0, 1.0, 0.3)))
+    X = np.array([[5e-324] * 3, [1.0, 1.0, 5e-324], [1.0, 2.0, 3.0]])
+    assert_allclose(tc.value_batch(X), [tc.value(x) for x in X], rtol=1e-15, atol=0.0)
+    assert list(tc.value_batch(X)[:2]) == [0.0, 0.0]
+
+
+def test_survival_logistic_sorts_wide_points():
+    # unsorted, (x_j / x_i)^200 overflows for x_j > x_i on points this spread
+    stdf = Logistic(200.0, 6)
+    tc = SurvivalEvc(stdf)
+    X = np.exp(np.random.default_rng(23).uniform(-20.0, 20.0, (20, 6)))
+    naive = [naive_survival_tail(stdf, x) for x in X]
+    assert_allclose([tc.value(x) for x in X], naive, atol=1e-12)
+    assert_allclose(tc.value_batch(X), naive, atol=1e-12)
 
 
 def test_archimax_comonotone_is_min_for_any_alpha():
@@ -194,16 +226,22 @@ def test_rejects_negative_and_nonfinite():
 
 
 def test_survival_dimension_cap():
+    # only a route that enumerates the 2^d - 1 subsets is capped
     with pytest.raises(SpecError):
-        SurvivalEvc(Independence(21))
-    SurvivalEvc(Independence(20))  # at the cap: fine
+        SurvivalEvc(Logistic(2.0, 21))
+    with pytest.raises(SpecError):
+        SurvivalEvc(Mixture(0.5, Independence(21), Logistic(2.0, 21)))
+    SurvivalEvc(Logistic(2.0, 20))  # at the cap: fine
+    SurvivalEvc(Independence(21))
+    SurvivalEvc(Mixture(0.5, MarshallOlkin((0.5,) * 21), Comonotone(21)))
+    assert SurvivalEvc(MarshallOlkin((0.5,) * 21)).diagonal() == 0.5
 
 
 def test_survival_flags_inconsistent_margins():
     # a deliberately broken "function" whose full-set value is inflated makes
     # the alternating sum land far below zero: that is a bug, not round-off
     # a subclass of the independence corner: routed by exact type, it takes
-    # the Gray-code sum of its (altered) margins
+    # the generic subset sum of its (altered) margins
     class Inconsistent(MarshallOlkin):
         def _value(self, xs):
             full = all(v > 0.0 for v in xs)
