@@ -15,6 +15,7 @@ from .mtcm import (
     OptimizerConfig,
     archimax_mtcm,
     closed_form_mo,
+    closed_form_mo_mixture,
     dispatch,
     embed_budget,
     grid_oracle,
@@ -73,6 +74,7 @@ __all__ = [
     "TawnTypeII",
     "archimax_mtcm",
     "closed_form_mo",
+    "closed_form_mo_mixture",
     "dispatch",
     "embed_budget",
     "grid_oracle",

@@ -98,8 +98,9 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--starts",
         type=int,
-        help="number of random starts (plus the diagonal) of the direct search; "
-        "non-exchangeable Archimax runs the diagonal start only",
+        help="number of random starts (plus the diagonal) of the multi-start search; "
+        "survival logistic, survival Tawn I and non-exchangeable Archimax run the "
+        "diagonal start only, and closed forms (two-MO mixtures included) none",
     )
     p.add_argument("--seed", type=int, help=f"search seed (default: ${_ENV_SEED} or {DEFAULT_SEED})")
     p.add_argument("--max-evals", type=int, dest="max_evals", help="evaluation budget per start")

@@ -3,16 +3,19 @@ set ``B = {b > 0 : prod_j b_j = 1}``, together with the maximizing direction.
 
 Routes, tightest first:
 
-* exact closed forms (survival Marshall-Olkin on the closed box, so
-  independence and comonotone included; exchangeable Archimax; nested
-  Archimedean trees);
+* exact closed forms: survival ``L`` built from one or two weighted
+  ``min_j a_j x_j`` terms (Marshall-Olkin on the closed box, so independence
+  and comonotone included, and mixtures of two of them); exchangeable
+  Archimax; nested Archimedean trees;
 * one Nelder-Mead search core in log coordinates ``x in R^(d-1)`` with
   ``b = (e^{x_1}, ..., e^{x_{d-1}}, e^{-sum x})``, pruned by the min bound
   ``L(b) <= min_j b_j`` (any iterate whose smallest component is below the
-  running best value cannot win).  The direct search runs it on the tail
-  copula from the diagonal plus random starts.  Non-exchangeable Archimax
-  runs it on ``h(b) = 1 / l(1/b)`` from the diagonal alone: ``x -> l(e^x)``
-  is convex, so that problem has no other local optimum;
+  running best value cannot win).  Where the problem has no local optimum
+  other than the global one it runs from the diagonal alone: the survival
+  symmetric logistic and Tawn I, whose ``x -> L(e^x)`` is log-concave, and
+  non-exchangeable Archimax, run on ``h(b) = 1 / l(1/b)`` since
+  ``x -> l(e^x)`` is convex.  Everything else runs the direct search from the
+  diagonal plus random starts;
 * a brute-force two-stage grid oracle used to verify the search.
 
 The simplex (``_nelder_mead``) is a short Nelder-Mead on Python float lists
@@ -43,6 +46,7 @@ import numpy as np
 from .errors import EvaluationError, NumericalError, SpecError
 from .stdf import (
     _MAX_POINTS,
+    _row_sum,
     Logistic,
     MarshallOlkin,
     Mixture,
@@ -60,6 +64,7 @@ __all__ = [
     "MtcmResult",
     "embed_budget",
     "closed_form_mo",
+    "closed_form_mo_mixture",
     "is_exchangeable",
     "archimax_mtcm",
     "optimize",
@@ -75,6 +80,7 @@ _FATOL = 1e-12          # function-spread stopping rule of the simplex search
 _TIE_TOL = 1e-10        # values this close count as a tie between starts
 _DEGENERACY_EPS = 1e-12  # maxima below this are reported as exactly 0
 _RECENTRE_TOL = 1e-13    # Archimax: mean of alpha * log b_h above which b* is recentred
+_BREAKPOINT_TIE_TOL = 1e-12  # two-MO mixtures: log f values this close tie
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,10 @@ class OptimizerConfig:
     diagonal (x = 0) always runs in addition.  Random starts are uniform over
     ``[-range_log, range_log]^(d-1)``.  ``tol`` is the simplex-diameter
     stopping rule; the function-spread rule is fixed at 1e-12.
-    Non-exchangeable Archimax runs the diagonal start only, since its problem
-    is convex: ``max_evals`` and ``tol`` apply there, while ``starts``,
-    ``seed`` and ``range_log`` tune the direct search only.
+    ``dispatch`` runs the diagonal start only where the problem has a single
+    local optimum (survival symmetric logistic and Tawn I, non-exchangeable
+    Archimax): ``max_evals`` and ``tol`` apply there, while ``starts``,
+    ``seed`` and ``range_log`` tune the multi-start search only.
     """
 
     starts: int = 16
@@ -208,17 +215,85 @@ def closed_form_mo(alpha: Sequence[float]) -> MtcmResult:
     everywhere (independence is the corner a = 0): ``lambda* = 0`` with
     maximizer 1_d.  The comonotone corner a = 1 gives 1 at 1_d.
     """
-    a = [float(v) for v in alpha]
-    if len(a) < 2:
-        raise SpecError("alpha must have length >= 2")
-    for j, v in enumerate(a):
-        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise SpecError(f"alpha[{j}]={v} outside [0, 1]")
+    a = _mo_params(alpha, "alpha")
     if min(a) == 0.0:
         return MtcmResult(0.0, (1.0,) * len(a), "closed_mo", _CLOSED_FORM_DIAG)
     lam = math.exp(math.fsum(math.log(v) for v in a) / len(a))
     b = tuple(lam / v for v in a)
     return MtcmResult(lam, b, "closed_mo", _CLOSED_FORM_DIAG)
+
+
+def _mo_params(alpha: Sequence[float], name: str) -> list[float]:
+    a = [float(v) for v in alpha]
+    if len(a) < 2:
+        raise SpecError(f"{name} must have length >= 2")
+    for j, v in enumerate(a):
+        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+            raise SpecError(f"{name}[{j}]={v} outside [0, 1]")
+    return a
+
+
+def closed_form_mo_mixture(
+    weight: float, alpha: Sequence[float], gamma: Sequence[float]
+) -> MtcmResult:
+    """Survival mixture of two Marshall-Olkin models on the closed box,
+    ``L(b) = w min_j a_j b_j + (1-w) min_j c_j b_j`` with ``a = alpha``,
+    ``c = gamma`` and ``w = weight``.
+
+    A point b with ``min_j a_j b_j = t`` and ``min_j c_j b_j = rho t`` has
+    ``b_j >= t max(1/a_j, rho/c_j)``, so ``prod b = 1`` bounds ``L(b)`` by
+
+        f(rho) = (w + (1-w) rho) exp(-mean_j log max(1/a_j, rho/c_j)),
+
+    with equality at b proportional to those maxima.  In ``log rho``,
+    ``log f`` is convex between the breakpoints ``rho = c_j / a_j``, rises
+    below the first and falls above the last, so ``lambda*`` is the largest
+    breakpoint value and ``b*_j = max(1/a_j, rho*/c_j)`` over its geometric
+    mean.  The breakpoints are scanned in ascending order, in log space with
+    running sums (O(d log d)); among values within a relative 1e-12 of the
+    largest, a round-off tie, the first wins.  With
+    ``w`` in {0, 1} or a zero ``a_j`` or ``c_j`` one term is 0 everywhere,
+    and the result is ``closed_form_mo`` of the other term, its value scaled
+    by that term's weight.
+    """
+    w = float(weight)
+    if not 0.0 <= w <= 1.0:
+        raise SpecError("mixture weight must be in [0, 1]")
+    a, c = _mo_params(alpha, "alpha"), _mo_params(gamma, "gamma")
+    if len(a) != len(c):
+        raise SpecError(f"alpha and gamma disagree in length: {len(a)} vs {len(c)}")
+    if w == 0.0 or min(a) == 0.0:
+        return _scaled(1.0 - w, closed_form_mo(c))
+    if w == 1.0 or min(c) == 0.0:
+        return _scaled(w, closed_form_mo(a))
+    d = len(a)
+    la = [math.log(v) for v in a]
+    lc = [math.log(v) for v in c]
+    u = [y - x for x, y in zip(la, lc)]  # log breakpoints
+    lw, lv = math.log(w), math.log1p(-w)
+
+    def log_weight(uk: float) -> float:  # log(w + (1-w) e^uk), overflow-free
+        p, q = sorted((lw, lv + uk))
+        return q + math.log1p(math.exp(p - q))
+
+    # at rho = e^uk, coordinates with breakpoints up to uk take
+    # log(rho / c_j) = uk - lc_j, the others log(1 / a_j) = -la_j
+    head, tail = 0.0, -math.fsum(la)
+    scan = []  # (log f, log rho) in ascending rho
+    for i, k in enumerate(sorted(range(d), key=u.__getitem__)):
+        head -= lc[k]
+        tail += la[k]
+        scan.append((log_weight(u[k]) - ((i + 1) * u[k] + head + tail) / d, u[k]))
+    top = max(v for v, _ in scan)
+    uk_best = next(uk for v, uk in scan if v >= top - _BREAKPOINT_TIE_TOL)
+    y = [max(-x, uk_best - z) for x, z in zip(la, lc)]
+    g = math.fsum(y) / d
+    lam = math.exp(log_weight(uk_best) - g)
+    return MtcmResult(lam, tuple(math.exp(v - g) for v in y), "closed_mo", _CLOSED_FORM_DIAG)
+
+
+def _scaled(weight: float, r: MtcmResult) -> MtcmResult:
+    return MtcmResult(weight * r.lambda_star, r.b_star, r.method, r.diagnostics)
 
 
 def is_exchangeable(stdf: StdfModel) -> bool:
@@ -426,10 +501,24 @@ def _maximize(value, d: int, cfg: OptimizerConfig, starts: list[list[float]]):
     return win.value, win.point, diag
 
 
+def _diagonal_search(value, d: int, cfg: OptimizerConfig):
+    """``_maximize`` from the diagonal alone, for problems whose only local
+    maximum is the global one; ``cfg.tol`` and ``cfg.max_evals`` apply."""
+    return _maximize(value, d, cfg, [[0.0] * (d - 1)])
+
+
+def _result(lam: float, b: Sequence[float], method: str, diag: Diagnostics) -> MtcmResult:
+    """A maximum below 1e-12 is reported as exactly 0 with maximizer 1_d: a
+    degenerate tail copula has no meaningful direction."""
+    if lam < _DEGENERACY_EPS:
+        return MtcmResult(0.0, (1.0,) * len(b), method, diag)
+    return MtcmResult(lam, tuple(b), method, diag)
+
+
 def optimize(model: TailCopulaModel, config: OptimizerConfig | None = None) -> MtcmResult:
     """Maximize the model's tail copula over the unit-product set by the
-    multi-start simplex search: the diagonal plus ``config.starts`` random
-    starts (see ``OptimizerConfig``).
+    explicit multi-start simplex search: the diagonal plus ``config.starts``
+    random starts (see ``OptimizerConfig``), whatever the model.
     """
     if not isinstance(model, TailCopulaModel):
         raise SpecError("model must be a TailCopulaModel")
@@ -438,10 +527,7 @@ def optimize(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
         raise EvaluationError("optimization needs dimension >= 2")
     cfg = config or OptimizerConfig()
     lam, b, diag = _maximize(model._value, d, cfg, _start_points(d - 1, cfg))
-    if lam < _DEGENERACY_EPS:
-        # a degenerate tail copula has no meaningful direction
-        return MtcmResult(0.0, (1.0,) * d, "optimizer", diag)
-    return MtcmResult(lam, b, "optimizer", diag)
+    return _result(lam, b, "optimizer", diag)
 
 
 # log range of the normal floats, pulled in by far more than the round-off of
@@ -495,18 +581,16 @@ def archimax_mtcm(
         lam = stdf.value([1.0] * d) ** (-alpha)
         return MtcmResult(lam, (1.0,) * d, "closed_archimax_exchangeable", _CLOSED_FORM_DIAG)
     ell = stdf._value
-    h_max, b_h, diag = _maximize(
-        lambda b: 1.0 / ell([1.0 / v for v in b]), d, config or OptimizerConfig(), [[0.0] * (d - 1)]
+    h_max, b_h, diag = _diagonal_search(
+        lambda b: 1.0 / ell([1.0 / v for v in b]), d, config or OptimizerConfig()
     )
     lam = _power(h_max, alpha, "lambda*", True)
     b = [_power(v, alpha, f"b*[{j}]", False) for j, v in enumerate(b_h)]
-    if lam < _DEGENERACY_EPS:
-        return MtcmResult(0.0, (1.0,) * d, "optimizer", diag)
     y = [alpha * math.log(v) for v in b_h]
     shift = math.fsum(y) / d
     if abs(shift) > _RECENTRE_TOL:
         b = [math.exp(v - shift) for v in y]
-    return MtcmResult(lam, tuple(b), "optimizer", diag)
+    return _result(lam, b, "optimizer", diag)
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +607,12 @@ def _grid_scan(model: TailCopulaModel, axes: list[np.ndarray]):
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total))
         coords = np.unravel_index(idx, sizes)
-        Xf = np.column_stack([axes[k][coords[k]] for k in range(len(axes))])
-        full = np.column_stack([Xf, -Xf.sum(axis=1)])
-        vals = model.value_batch(np.exp(full))
+        cols = [axes[k][coords[k]] for k in range(len(axes))]
+        vals = model.value_batch(np.exp(np.column_stack(cols + [-_row_sum(cols)])))
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
-            best_x = Xf[i].copy()
+            best_x = np.array([v[i] for v in cols])
     assert best_x is not None
     return best_val, best_x, total
 
@@ -585,9 +668,7 @@ def grid_oracle(
         converged=True,
         final_step=step / 10.0,
     )
-    if best_val < _DEGENERACY_EPS:
-        return MtcmResult(0.0, (1.0,) * d, "oracle", diag)
-    return MtcmResult(best_val, embed_budget(best_x.tolist()), "oracle", diag)
+    return _result(best_val, embed_budget(best_x.tolist()), "oracle", diag)
 
 
 # ---------------------------------------------------------------------------
@@ -597,17 +678,38 @@ def grid_oracle(
 def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> MtcmResult:
     """Route to the tightest available method; the result carries the tag.
 
-    Survival Marshall-Olkin on the closed box [0, 1]^d (independence and
-    comonotone are its corners) and nested Archimedean trees get closed
-    forms; the Marshall-Olkin route takes an l of exactly that type, since a
-    subclass may change ``_value``.  Archimax (Archimedean copulas included,
-    as Archimax over independence) goes through ``archimax_mtcm`` (closed
-    form when l is exchangeable, else one start from the diagonal);
-    everything else runs the direct search.  A tree whose ``lambda*`` is
-    below 1e-12 is reported as 0 with maximizer 1_d, as in ``optimize``.
+    Survival routes go by the exact type of l, since a subclass may change
+    ``_value`` (as in ``tail_copula._survival_sum``):
+
+    * ``closed_mo``: Marshall-Olkin on the closed box [0, 1]^d (independence
+      and comonotone are its corners), and a mixture of two of them: ``L``
+      is one or two weighted ``min_j a_j x_j`` terms (``closed_form_mo``,
+      ``closed_form_mo_mixture``);
+    * ``optimizer`` from the diagonal alone: the symmetric logistic and Tawn
+      I, whose ``x -> L(e^x)`` is log-concave (``L(x) = E[min_j x_j W_j]``
+      with iid Frechet ``W_j``, so Prekopa's theorem applies; Tawn I is that
+      function at ``theta * x``), so their only local maximum is the global
+      one.  ``config.tol`` and ``config.max_evals`` apply, ``starts``,
+      ``seed`` and ``range_log`` do not.
+
+    Nested Archimedean trees get their closed form.  Archimax (Archimedean
+    copulas included, as Archimax over independence) goes through
+    ``archimax_mtcm`` (closed form when l is exchangeable, else one start
+    from the diagonal).  Everything else (Tawn II, other mixtures,
+    ``MixtureTail``, subclasses) runs the multi-start search of ``optimize``.
+    A search or tree whose ``lambda*`` is below 1e-12 is reported as 0 with
+    maximizer 1_d.
     """
-    if isinstance(model, SurvivalEvc) and type(model.stdf) is MarshallOlkin:
-        return closed_form_mo(model.stdf.alpha)
+    if isinstance(model, SurvivalEvc):
+        ell = model.stdf
+        kind = type(ell)
+        if kind is MarshallOlkin:
+            return closed_form_mo(ell.alpha)
+        if kind is Mixture and type(ell.first) is type(ell.second) is MarshallOlkin:
+            return closed_form_mo_mixture(ell.weight, ell.first.alpha, ell.second.alpha)
+        if kind is Logistic or kind is TawnTypeI:
+            lam, b, diag = _diagonal_search(model._value, model.dim, config or OptimizerConfig())
+            return _result(lam, b, "optimizer", diag)
     if isinstance(model, NacCopula):
         lam = model.tree.mtcm_closed()
         if lam < _DEGENERACY_EPS:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import EvaluationError, SpecError
-from .stdf import _row_min
+from .stdf import _row_sum
 
 __all__ = ["NacTree", "NestingReport"]
 
@@ -314,13 +315,14 @@ class NacTree:
             if not self._children[v]:
                 return A[:, rank[self._leaf_pos[v]]]
             a = self._alpha[v]
-            vals = np.column_stack([rec(c) for c in self._children[v]])
-            mn = _row_min(vals)
+            vals = [rec(c) for c in self._children[v]]
+            mn = reduce(np.minimum, vals)
             # a ratio that overflows is inf, whose negative power is the
             # limit 0; a row whose subtree underflowed to 0 divides by 1
             # instead, and its 0 ** (-1/a) = inf gives mn * 0 = 0
+            safe = np.where(mn > 0.0, mn, 1.0)
             with np.errstate(over="ignore", divide="ignore"):
-                s = np.power(vals / np.where(mn > 0.0, mn, 1.0)[:, None], -1.0 / a).sum(axis=1)
+                s = _row_sum([np.power(u / safe, -1.0 / a) for u in vals])
             return mn * s ** (-a)
 
         return rec(vertex)

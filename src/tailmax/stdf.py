@@ -103,11 +103,12 @@ def _powsum_root(values: Iterable[float], p: float) -> float:
     return m * sum((v / m) ** p for v in vs) ** (1.0 / p)
 
 
-def _powsum_root_np(V: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise ``(sum_j V_ij**p) ** (1/p)`` with the max factored out."""
-    m = V.max(axis=1)
+def _powsum_root_np(cols, p: float) -> np.ndarray:
+    """Row-wise ``(sum_j v_j**p) ** (1/p)`` over a sequence of columns
+    ``v_j`` (``X.T`` for an (n, d) array), with the max factored out."""
+    m = reduce(np.maximum, cols)
     safe = np.where(m > 0.0, m, 1.0)
-    r = np.power(V / safe[:, None], p).sum(axis=1) ** (1.0 / p)
+    r = _row_sum([np.power(v / safe, p) for v in cols]) ** (1.0 / p)
     return np.where(m > 0.0, m * r, 0.0)
 
 
@@ -115,6 +116,16 @@ def _row_min(X: np.ndarray) -> np.ndarray:
     """Row-wise minimum of an (n, d) array by d - 1 column passes, which
     numpy runs far faster than a reduction along the short axis 1."""
     return reduce(np.minimum, X.T)
+
+
+def _row_sum(cols) -> np.ndarray:
+    """Row-wise sum of a sequence of columns, bitwise equal to numpy's
+    ``sum(axis=1)`` over the stacked (n, k) array.  numpy adds fewer than 8
+    entries in order, which k - 1 column passes reproduce several times
+    faster; from 8 on it sums pairwise, so the columns are stacked."""
+    if len(cols) < 8:
+        return reduce(np.add, cols)
+    return np.column_stack(cols).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +204,7 @@ class Logistic(StdfModel):
         return _powsum_root(xs, self.s)
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        return _powsum_root_np(X, self.s)
+        return _powsum_root_np(X.T, self.s)
 
     def params(self) -> dict:
         return {"s": self.s}
@@ -254,7 +265,7 @@ class MarshallOlkin(StdfModel):
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
         a = np.asarray(self.alpha)
-        return X @ (1.0 - a) + (X * a).max(axis=1)
+        return X @ (1.0 - a) + reduce(np.maximum, (X * a).T)
 
     def params(self) -> dict:
         return {"alpha": list(self.alpha)} if self.family == "marshall_olkin" else {}
@@ -317,13 +328,13 @@ class TawnTypeI(StdfModel):
         return T * b
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        T = X.sum(axis=1)
+        T = _row_sum(X.T)
         safe = np.where(T > 0.0, T, 1.0)
-        W = X / safe[:, None]
-        t = np.asarray(self.theta)
-        b = (1.0 - t[2]) * W[:, 2]
-        b += _powsum_root_np(W[:, :2] * (1.0 - t[:2]), self.r)
-        b += _powsum_root_np(W * t, self.s)
+        w1, w2, w3 = (v / safe for v in X.T)
+        t1, t2, t3 = self.theta
+        b = (1.0 - t3) * w3
+        b += _powsum_root_np(((1.0 - t1) * w1, (1.0 - t2) * w2), self.r)
+        b += _powsum_root_np((t1 * w1, t2 * w2, t3 * w3), self.s)
         return np.where(T > 0.0, T * b, 0.0)
 
     def params(self) -> dict:
@@ -373,12 +384,12 @@ class TawnTypeII(StdfModel):
         return T * b
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        T = X.sum(axis=1)
+        T = _row_sum(X.T)
         safe = np.where(T > 0.0, T, 1.0)
-        W = X / safe[:, None]
-        u = _powsum_root_np(W[:, :2], self.r * self.s)
-        first = _powsum_root_np(np.column_stack([u, W[:, 2]]), self.s)
-        second = _powsum_root_np(W[:, :2], self.t) + W[:, 2]
+        w1, w2, w3 = (v / safe for v in X.T)
+        u = _powsum_root_np((w1, w2), self.r * self.s)
+        first = _powsum_root_np((u, w3), self.s)
+        second = _powsum_root_np((w1, w2), self.t) + w3
         b = self.phi * first + (1.0 - self.phi) * second
         return np.where(T > 0.0, T * b, 0.0)
 

@@ -165,7 +165,7 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
     if kind is TawnTypeII:  # phi times the nested logistic ||(u, x3)||_s
         if batch:
             x1, x2, x3 = x.T
-            norm = lambda a, b, p: _powsum_root_np(np.column_stack([a, b]), p)
+            norm = lambda a, b, p: _powsum_root_np((a, b), p)
             add = _neumaier
         else:
             x1, x2, x3 = x

@@ -27,6 +27,7 @@ from tailmax import (
     TawnTypeII,
     archimax_mtcm,
     closed_form_mo,
+    closed_form_mo_mixture,
     dispatch,
     grid_oracle,
     is_exchangeable,
@@ -174,6 +175,193 @@ def test_archimax_large_alpha_keeps_unit_product():
         r = archimax_mtcm(near_max, alpha)
         assert r.lambda_star > 0.99
         assert abs(math.fsum(math.log(v) for v in r.b_star)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# exact survival mixtures of two Marshall-Olkin models
+# ---------------------------------------------------------------------------
+
+def _mo_mixture(w, a, c):
+    return SurvivalEvc(Mixture(w, MarshallOlkin.with_boundary(a), MarshallOlkin.with_boundary(c)))
+
+
+def _mo_mixture_cases():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for i in range(50):
+        d = 2 + i % 5
+        w = float(rng.uniform(0.05, 0.95))
+        a, c = tuple(rng.uniform(0.05, 0.95, d)), tuple(rng.uniform(0.05, 0.95, d))
+        cases.append(pytest.param(w, a, c, id=f"d{d}-{i}"))
+    return cases
+
+
+def _assert_attained(model, r):
+    assert abs(model.value(r.b_star) - r.lambda_star) <= 1e-14
+    assert abs(math.fsum(math.log(v) for v in r.b_star)) <= 1e-14
+
+
+@pytest.mark.parametrize("w, a, c", _mo_mixture_cases())
+def test_mo_mixture_closed_form_never_below_search(w, a, c):
+    model = _mo_mixture(w, a, c)
+    r = dispatch(model)
+    assert r.method == "closed_mo"
+    assert r.diagnostics.function_evals == 0
+    _assert_attained(model, r)
+    search = optimize(model, OptimizerConfig(starts=64))
+    assert r.lambda_star >= search.lambda_star - 1e-12
+    d = len(a)
+    if d <= 4:
+        # the lattice lies below the maximum, by at most its spacing's reach
+        n, L = {2: 201, 3: 101, 4: 41}[d], math.log(50.0)
+        o = grid_oracle(model, n, L)
+        h = 2.0 * L / (n - 1) / 10.0
+        assert 0.0 <= r.lambda_star - o.lambda_star <= r.lambda_star * (1.0 - math.exp(-(d - 1) * h / 2.0))
+
+
+def test_mo_mixture_breakpoint_formula():
+    # L(b) = w min a b + (1-w) min c b; at rho = c_j / a_j the bound
+    # f(rho) = (w + (1-w) rho) / geomean_j max(1/a_j, rho/c_j) is attained
+    w, a, c = 0.3, (0.2, 0.5, 0.8), (0.7, 0.3, 0.4)
+    vals = []
+    for rho in sorted(cj / aj for aj, cj in zip(a, c)):
+        m = [max(1.0 / aj, rho / cj) for aj, cj in zip(a, c)]
+        vals.append((w + (1.0 - w) * rho) / math.prod(m) ** (1.0 / 3.0))
+    r = closed_form_mo_mixture(w, a, c)
+    assert_allclose(r.lambda_star, max(vals), rtol=1e-14)
+    assert r.method == "closed_mo"
+
+
+def test_mo_mixture_zero_weight_or_parameter_is_single_mo():
+    a, c = (0.2, 0.5, 0.8), (0.7, 0.3, 0.4)
+    assert dispatch(_mo_mixture(0.0, a, c)) == closed_form_mo(c)
+    assert dispatch(_mo_mixture(1.0, a, c)) == closed_form_mo(a)
+    for w in (0.25, 0.6):
+        # an independence component (a = 0) vanishes; the other term is scaled
+        r = dispatch(_mo_mixture(w, (0.0, 0.0, 0.0), c))
+        single = closed_form_mo(c)
+        assert (r.method, r.b_star) == ("closed_mo", single.b_star)
+        assert_allclose(r.lambda_star, (1.0 - w) * single.lambda_star, rtol=1e-15)
+        r = dispatch(_mo_mixture(w, a, (0.7, 0.0, 0.4)))
+        assert r.b_star == closed_form_mo(a).b_star
+        assert_allclose(r.lambda_star, w * closed_form_mo(a).lambda_star, rtol=1e-15)
+    r = dispatch(_mo_mixture(0.5, (0.0, 0.0, 0.0), (0.0, 1.0, 1.0)))
+    assert (r.lambda_star, r.b_star) == (0.0, (1.0, 1.0, 1.0))
+
+
+def test_mo_mixture_with_comonotone_component():
+    model = SurvivalEvc(Mixture(0.4, Comonotone(3), MarshallOlkin((0.2, 0.5, 0.8))))
+    r = dispatch(model)
+    assert r.method == "closed_mo"
+    _assert_attained(model, r)
+    assert r.lambda_star >= optimize(model, OptimizerConfig(starts=64)).lambda_star - 1e-12
+    o = grid_oracle(model, 101)
+    assert 0.0 <= r.lambda_star - o.lambda_star <= 2e-3
+
+
+def test_mo_mixture_equal_components_is_single_mo():
+    a = (0.2, 0.5, 0.8, 0.35)
+    r = dispatch(_mo_mixture(0.3, a, a))
+    single = closed_form_mo(a)
+    assert r.method == "closed_mo"
+    assert_allclose(r.lambda_star, single.lambda_star, rtol=1e-14)
+    assert_allclose(r.b_star, single.b_star, rtol=1e-14)
+
+
+def test_mo_mixture_tie_takes_smallest_breakpoint():
+    # swapping the coordinates swaps the components, so the breakpoints
+    # rho = 1/2 and rho = 2 give the same value; the smaller one wins
+    r = closed_form_mo_mixture(0.5, (0.25, 0.5), (0.5, 0.25))
+    assert_allclose(r.b_star, (math.sqrt(2.0), math.sqrt(0.5)), rtol=1e-15)
+    assert_allclose(r.lambda_star, 0.75 / math.sqrt(8.0), rtol=1e-15)
+
+
+def test_mo_mixture_rejects_bad_parameters():
+    for args in ((1.5, (0.2, 0.5), (0.3, 0.4)), (0.5, (0.2, 0.5), (0.3, 0.4, 0.5)),
+                 (0.5, (0.2, 1.5), (0.3, 0.4)), (0.5, (0.2,), (0.3,))):
+        with pytest.raises(SpecError):
+            closed_form_mo_mixture(*args)
+
+
+def test_mo_mixture_with_subclass_component_keeps_search():
+    class Shock(MarshallOlkin):
+        pass
+
+    model = SurvivalEvc(Mixture(0.5, Shock((0.2, 0.5, 0.8)), MarshallOlkin((0.7, 0.3, 0.4))))
+    r = dispatch(model, FAST)
+    assert r.method == "optimizer"
+    assert r.diagnostics.starts_used == FAST.starts + 1
+
+
+# ---------------------------------------------------------------------------
+# diagonal-only search for the log-concave survival logistic and Tawn I
+# ---------------------------------------------------------------------------
+
+def _logistic_diagonal(d, s):
+    """L(1_d) = sum_k (-1)^(k-1) C(d, k) k^(1/s)."""
+    return math.fsum((-1) ** (k - 1) * math.comb(d, k) * k ** (1.0 / s) for k in range(1, d + 1))
+
+
+def _logistic_cases():
+    rng = np.random.default_rng(88)
+    cases = [(d, round(float(rng.uniform(1.05, 20.0)), 4)) for d in range(2, 9)]
+    cases += [(3, 1.05), (5, 20.0)]
+    return [pytest.param(d, s, id=f"d{d}-s{s}") for d, s in cases]
+
+
+@pytest.mark.parametrize("d, s", _logistic_cases())
+def test_survival_logistic_runs_diagonal_start_only(d, s):
+    model = SurvivalEvc(Logistic(s, d))
+    r = dispatch(model)
+    assert r.method == "optimizer"
+    assert r.diagnostics.starts_used == 1
+    assert_allclose(r.lambda_star, _logistic_diagonal(d, s), rtol=0, atol=1e-9)
+    assert_allclose(r.b_star, (1.0,) * d, rtol=0, atol=1e-6)
+    search = optimize(model, OptimizerConfig(starts=16))
+    assert abs(r.lambda_star - search.lambda_star) <= 1e-9
+    assert_allclose(r.b_star, search.b_star, rtol=0, atol=1e-6)
+
+
+def _tawn1_cases():
+    rng = np.random.default_rng(1990)
+    cases = [
+        (float(rng.uniform(1.05, 12.0)), float(rng.uniform(1.0, 4.0)), tuple(rng.uniform(0.05, 1.0, 3)))
+        for _ in range(6)
+    ]
+    cases.append((2.48, 1.0, (1.0, 1.0, 0.25)))
+    return [pytest.param(s, r, t, id=f"tawn1-{i}") for i, (s, r, t) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("s, r, theta", _tawn1_cases())
+def test_survival_tawn1_runs_diagonal_start_only(s, r, theta):
+    # L is the symmetric survival logistic at theta * x: its maximum over
+    # prod b = 1 is g L_sym(1_3) at b_j = g / theta_j, g = geomean(theta)
+    model = SurvivalEvc(TawnTypeI(s=s, r=r, theta=theta))
+    res = dispatch(model)
+    assert res.method == "optimizer"
+    assert res.diagnostics.starts_used == 1
+    g = math.prod(theta) ** (1.0 / 3.0)
+    assert_allclose(res.lambda_star, g * _logistic_diagonal(3, s), rtol=0, atol=1e-9)
+    assert_allclose(res.b_star, [g / t for t in theta], rtol=0, atol=1e-6)
+    search = optimize(model, OptimizerConfig(starts=16))
+    assert abs(res.lambda_star - search.lambda_star) <= 1e-9
+    assert_allclose(res.b_star, search.b_star, rtol=0, atol=1e-6)
+
+
+def test_survival_tawn1_with_zero_weight_is_degenerate():
+    r = dispatch(SurvivalEvc(TawnTypeI(s=2.0, r=1.5, theta=(0.4, 0.0, 0.9))))
+    assert r.method == "optimizer"
+    assert r.diagnostics.starts_used == 1
+    assert (r.lambda_star, r.b_star) == (0.0, (1.0, 1.0, 1.0))
+
+
+def test_logistic_subclass_keeps_multi_start_search():
+    class Gumbel(Logistic):
+        pass
+
+    r = dispatch(SurvivalEvc(Gumbel(2.0, 3)))
+    assert r.method == "optimizer"
+    assert r.diagnostics.starts_used == OptimizerConfig().starts + 1
 
 
 # ---------------------------------------------------------------------------
