@@ -74,6 +74,9 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 
+# ``closed_mo`` covers survival L built from one or two weighted
+# ``min_j a_j x_j`` terms; ``optimizer`` is the simplex search, from the
+# diagonal alone or from the diagonal plus random starts (see ``dispatch``)
 METHODS = ("closed_mo", "closed_archimax_exchangeable", "closed_nac", "optimizer", "oracle")
 
 _FATOL = 1e-12          # function-spread stopping rule of the simplex search
