@@ -100,11 +100,28 @@ def _add_optimizer_flags(p: argparse.ArgumentParser) -> None:
         type=int,
         help="number of random starts (plus the diagonal) of the multi-start search; "
         "survival logistic, survival Tawn I and non-exchangeable Archimax run the "
-        "diagonal start only, and closed forms (two-MO mixtures included) none",
+        "diagonal start only, survival Tawn II and survival logistic/MO mixtures a "
+        "one-coordinate search, and closed forms (two-MO mixtures included) none",
     )
-    p.add_argument("--seed", type=int, help=f"search seed (default: ${_ENV_SEED} or {DEFAULT_SEED})")
-    p.add_argument("--max-evals", type=int, dest="max_evals", help="evaluation budget per start")
-    p.add_argument("--range-log", type=float, dest="range_log", help="half-width of the start box")
+    p.add_argument(
+        "--seed",
+        type=int,
+        help=f"seed of the multi-start search's random starts (default: ${_ENV_SEED} or "
+        f"{DEFAULT_SEED}); the diagonal and one-coordinate searches do not use it",
+    )
+    p.add_argument(
+        "--max-evals",
+        type=int,
+        dest="max_evals",
+        help="evaluation budget per start; the whole budget of a one-coordinate search",
+    )
+    p.add_argument(
+        "--range-log",
+        type=float,
+        dest="range_log",
+        help="half-width of the multi-start search's start box; "
+        "the diagonal and one-coordinate searches do not use it",
+    )
     p.add_argument("--tol", type=float, help="simplex diameter stopping tolerance")
 
 

@@ -14,8 +14,12 @@ Routes, tightest first:
   other than the global one it runs from the diagonal alone: the survival
   symmetric logistic and Tawn I, whose ``x -> L(e^x)`` is log-concave, and
   non-exchangeable Archimax, run on ``h(b) = 1 / l(1/b)`` since
-  ``x -> l(e^x)`` is convex.  Everything else runs the direct search from the
-  diagonal plus random starts;
+  ``x -> l(e^x)`` is convex.  Where the maximum provably lies on a curve it
+  searches that one coordinate (a uniform scan, then simplex polishes):
+  survival Tawn II on its line ``b1 = b2``, and survival mixtures of a
+  logistic and a Marshall-Olkin model on their water-filling curve.
+  Everything else runs the direct search from the diagonal plus random
+  starts;
 * a brute-force two-stage grid oracle used to verify the search.
 
 The simplex (``_nelder_mead``) is a short Nelder-Mead on Python float lists
@@ -76,7 +80,8 @@ DEFAULT_SEED = 1729
 
 # ``closed_mo`` covers survival L built from one or two weighted
 # ``min_j a_j x_j`` terms; ``optimizer`` is the simplex search, from the
-# diagonal alone or from the diagonal plus random starts (see ``dispatch``)
+# diagonal alone, along one curve, or from the diagonal plus random starts
+# (see ``dispatch``)
 METHODS = ("closed_mo", "closed_archimax_exchangeable", "closed_nac", "optimizer", "oracle")
 
 _FATOL = 1e-12          # function-spread stopping rule of the simplex search
@@ -96,7 +101,10 @@ class OptimizerConfig:
     stopping rule; the function-spread rule is fixed at 1e-12.
     ``dispatch`` runs the diagonal start only where the problem has a single
     local optimum (survival symmetric logistic and Tawn I, non-exchangeable
-    Archimax): ``max_evals`` and ``tol`` apply there, while ``starts``,
+    Archimax), and a one-coordinate search where the maximum lies on a
+    curve (survival Tawn II, survival logistic/MO mixtures): ``tol`` applies
+    to both, and ``max_evals`` is the budget of the diagonal start and the
+    total budget of a curve search, scan and polishes included.  ``starts``,
     ``seed`` and ``range_log`` tune the multi-start search only.
     """
 
@@ -510,6 +518,149 @@ def _diagonal_search(value, d: int, cfg: OptimizerConfig):
     return _maximize(value, d, cfg, [[0.0] * (d - 1)])
 
 
+_SCAN_POINTS = 48  # uniform scan of a one-coordinate route's interval
+_POLISHES = 2      # simplex polishes, from the best local maxima of the scan
+# survival Tawn II is phi times a sum of seven terms, each at most 2 max_j x_j
+# and rounded by a few units: its round-off stays below this times phi max_j x_j
+_TAWN2_NOISE = 32.0 * sys.float_info.epsilon
+
+
+def _curve_search(value, d: int, cfg: OptimizerConfig, curve, lo: float, hi: float,
+                  v0: float, spent: int):
+    """Maximize ``value`` along a curve of the unit-product set: ``curve``
+    maps ``t in [lo, hi]`` to the free log-coordinates of b (as in
+    ``embed_budget``), for problems whose maximum provably lies on it.
+
+    A uniform scan of ``_SCAN_POINTS`` values of t, then one simplex polish
+    in t from each of the ``_POLISHES`` best local maxima of the scan (best
+    first, ties to the smaller t).  Every evaluation goes through one pruned
+    objective seeded with ``v0`` (``_pruned_objective``: min-bound pruning
+    and the log-space overflow guard); a polish step outside ``[lo, hi]``
+    scores ``1 + distance`` without an evaluation.  ``cfg.max_evals`` caps
+    all evaluations, ``spent`` already made by the caller included; a scan
+    or polish cut short reports unconverged.  ``starts_used`` counts the
+    polishes and ``best_start`` is the one that found the maximum.
+
+    Returns ``(value, point, diagnostics)`` as ``_maximize`` does.
+    """
+    fobj, best = _pruned_objective(value, v0, d)
+    grid = [lo]
+    if hi > lo:
+        grid = [lo + (hi - lo) * i / (_SCAN_POINTS - 1) for i in range(_SCAN_POINTS - 1)] + [hi]
+    ts = grid[:max(cfg.max_evals - spent, 0)]
+    fs = [fobj(curve(t)) for t in ts]
+    evals = spent + len(ts)
+    converged = len(ts) == len(grid)
+
+    def f1(t):
+        x = t[0]
+        if lo <= x <= hi:
+            return fobj(curve(x))
+        return 1.0 + max(lo - x, x - hi)
+
+    n = len(fs) if len(grid) > 1 else 0  # a one-point curve needs no polish
+    peaks = sorted(
+        (i for i in range(n)
+         if (i == 0 or fs[i] <= fs[i - 1]) and (i == n - 1 or fs[i] <= fs[i + 1])),
+        key=fs.__getitem__,
+    )[:_POLISHES]
+    owner, step = 0, 0.0
+    for k, i in enumerate(peaks):
+        if evals >= cfg.max_evals:
+            converged = False
+            break
+        before = best()[0]
+        nfev, ok, sim, _ = _nelder_mead(f1, [ts[i]], cfg.tol, cfg.max_evals - evals)
+        evals += nfev
+        converged = converged and ok
+        if k == 0 or best()[0] > before:
+            owner, step = k, abs(sim[-1][0] - sim[0][0])
+    val, b = best()
+    diag = Diagnostics(
+        starts_used=len(peaks),
+        best_start=owner,
+        function_evals=evals,
+        converged=converged or val < _DEGENERACY_EPS,
+        final_step=step,
+    )
+    return val, b, diag
+
+
+def _tawn2_line(model: SurvivalEvc, cfg: OptimizerConfig):
+    """Survival Tawn II, ``L = phi L_N``, on its line ``b = (e^u, e^u,
+    e^(-2u))``.  ``L_N(x) = E[min(x1 M V1, x2 M V2, x3 W3)]`` with
+    independent Frechet ``V1, V2`` (index rs), ``W3`` (index s) and
+    ``M^(rs)`` positive (1/r)-stable (Tawn, Biometrika 1990).  Given
+    ``(M, W3)`` the expectation is log-concave in ``(log x1, log x2)``
+    (Prekopa; ``log V`` is Gumbel) and symmetric, so on each slice
+    ``b1 b2 = c`` it is nonincreasing in ``|log b1 - log b2|``, and so is
+    its mixture over ``(M, W3)``: the maximum has ``b1 = b2``.  There
+    ``min b >= L_N(b) >= L_N(1_3) = v0 / phi`` bounds u to
+    ``[log(v0 / phi), -log(v0 / phi) / 2]``.
+
+    That interval grows without bound as ``v0`` falls (``s`` near 1), and far
+    out the seven-term sum cancels to its round-off.  So a value at or below
+    ``_TAWN2_NOISE * phi * max_j b_j`` reads as 0, and ``v0 = 0`` (``phi =
+    0``, or ``s = 1``, where ``L = 0``) gives 0 at 1_3."""
+    phi = model.stdf.phi
+    noise = _TAWN2_NOISE * phi
+
+    def value(b):
+        v = model._value(b)
+        return v if v > noise * max(b) else 0.0
+
+    v0 = value([1.0, 1.0, 1.0])
+    if v0 == 0.0:
+        diag = Diagnostics(
+            starts_used=0, best_start=0, function_evals=1, converged=True, final_step=0.0
+        )
+        return 0.0, (1.0, 1.0, 1.0), diag
+    lo = min(math.log(v0 / phi), 0.0)
+    return _curve_search(value, 3, cfg, lambda u: [u, u], lo, -lo / 2.0, v0, 1)
+
+
+def _logistic_mo_curve(model: SurvivalEvc, cfg: OptimizerConfig):
+    """Survival mixture of a logistic and a Marshall-Olkin model, in either
+    order, ``L = w L_log + (1-w) min_j a_j b_j``, on its water-filling
+    curve: for ``x = log m``, ``m = min_j a_j b_j``, the point ``b = exp(y)``
+    with ``y_j = max(x - log a_j, tau)`` and ``tau`` such that ``sum y = 0``.
+
+    ``y -> log L_log(e^y)`` is symmetric and concave (``L_log(x) =
+    E[min_j x_j W_j]``, Prekopa), so Schur-concave; the water-filled y is
+    majorized by every feasible y of ``{sum y = 0, a * e^y >= m}``, so it
+    maximizes ``L_log`` there, ``g(m)``, and has ``min_j a_j b_j = m``
+    exactly.  Every b with ``min_j a_j b_j = m`` has ``L(b) <= w g(m) +
+    (1-w) m``, with equality on the curve, so the maximum lies on it.  Below
+    ``min_j log a_j`` the curve stays at ``b = 1_d`` (and ``g`` at its top),
+    and above ``mean_j log a_j`` no b is feasible, so x runs from the first
+    (``b = 1_d``) to the second (the MO maximizer).
+
+    A zero ``a_j`` makes the MO term 0, leaving w times the survival
+    logistic: its diagonal start.
+    """
+    ell = model.stdf
+    alpha = (ell.first if type(ell.first) is MarshallOlkin else ell.second).alpha
+    if min(alpha) == 0.0:
+        return _diagonal_search(model._value, model.dim, cfg)
+    la = [math.log(v) for v in alpha]
+    d = len(la)
+    asc = sorted(la)
+
+    def curve(x: float) -> list[float]:
+        # the k coordinates with the smallest log a_j sit on their bound
+        # x - log a_j and the others share the level tau with sum y = 0;
+        # take the next one while its bound lies above the level
+        k, acc = 1, x - asc[0]
+        tau = -acc / (d - 1)
+        while k < d - 1 and x - asc[k] > tau:
+            acc += x - asc[k]
+            k += 1
+            tau = -acc / (d - k)
+        return [max(x - v, tau) for v in la[:-1]]
+
+    return _curve_search(model._value, d, cfg, curve, asc[0], math.fsum(la) / d, 0.0, 0)
+
+
 def _result(lam: float, b: Sequence[float], method: str, diag: Diagnostics) -> MtcmResult:
     """A maximum below 1e-12 is reported as exactly 0 with maximizer 1_d: a
     degenerate tail copula has no meaningful direction."""
@@ -693,13 +844,24 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
       with iid Frechet ``W_j``, so Prekopa's theorem applies; Tawn I is that
       function at ``theta * x``), so their only local maximum is the global
       one.  ``config.tol`` and ``config.max_evals`` apply, ``starts``,
-      ``seed`` and ``range_log`` do not.
+      ``seed`` and ``range_log`` do not;
+    * ``optimizer`` in one coordinate (``_curve_search``): Tawn II on the
+      line ``b = (e^u, e^u, e^(-2u))`` (``_tawn2_line``: its nested logistic
+      is a mixture of functions log-concave and symmetric in coordinates 1
+      and 2), and a mixture of a logistic and a Marshall-Olkin model, in
+      either order, on the curve ``b = exp(y)``, ``y_j = max(x - log a_j,
+      tau)`` with ``sum y = 0`` (``_logistic_mo_curve``: the logistic part
+      is Schur-concave in ``log b``, so for each ``min_j a_j b_j`` it peaks
+      there).  A zero ``a_j`` leaves w times the survival logistic, which
+      runs the diagonal start.  ``config.tol`` applies and
+      ``config.max_evals`` caps the whole search; ``starts``, ``seed`` and
+      ``range_log`` do not apply.
 
     Nested Archimedean trees get their closed form.  Archimax (Archimedean
     copulas included, as Archimax over independence) goes through
     ``archimax_mtcm`` (closed form when l is exchangeable, else one start
-    from the diagonal).  Everything else (Tawn II, other mixtures,
-    ``MixtureTail``, subclasses) runs the multi-start search of ``optimize``.
+    from the diagonal).  Everything else (other mixtures, ``MixtureTail``,
+    subclasses) runs the multi-start search of ``optimize``.
     A search or tree whose ``lambda*`` is below 1e-12 is reported as 0 with
     maximizer 1_d.
     """
@@ -710,8 +872,16 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
             return closed_form_mo(ell.alpha)
         if kind is Mixture and type(ell.first) is type(ell.second) is MarshallOlkin:
             return closed_form_mo_mixture(ell.weight, ell.first.alpha, ell.second.alpha)
+        cfg = config or OptimizerConfig()
+        found = None
         if kind is Logistic or kind is TawnTypeI:
-            lam, b, diag = _diagonal_search(model._value, model.dim, config or OptimizerConfig())
+            found = _diagonal_search(model._value, model.dim, cfg)
+        elif kind is TawnTypeII:
+            found = _tawn2_line(model, cfg)
+        elif kind is Mixture and {type(ell.first), type(ell.second)} == {Logistic, MarshallOlkin}:
+            found = _logistic_mo_curve(model, cfg)
+        if found is not None:
+            lam, b, diag = found
             return _result(lam, b, "optimizer", diag)
     if isinstance(model, NacCopula):
         lam = model.tree.mtcm_closed()

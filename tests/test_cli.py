@@ -219,6 +219,18 @@ def test_unconverged_search_exits_one(write_json, capsys):
     assert "converged    no" in out
 
 
+def test_unconverged_curve_search_exits_one(write_json, capsys):
+    mixture = {"family": "mixture", "dimension": 3, "params": {"weight": 0.5, "components": [
+        {"family": "logistic", "dimension": 3, "params": {"s": 2.0}},
+        {"family": "marshall_olkin", "dimension": 3, "params": {"alpha": [0.3, 0.6, 0.45]}},
+    ]}}
+    path = write_json("mix.json", {"family": "survival_evc", "dimension": 3, "params": {"stdf": mixture}})
+    code, out, _ = run(capsys, "mtcm", "--model", path, "--max-evals", "12")
+    assert code == 1
+    assert "converged    no" in out
+    assert "evals        12" in out
+
+
 def test_schema_error_names_field_path(write_json, capsys):
     bad = {"family": "marshall_olkin", "params": {"alpha": [0.2, "x", 0.8]}}
     path = write_json("bad.json", bad)

@@ -365,6 +365,141 @@ def test_logistic_subclass_keeps_multi_start_search():
 
 
 # ---------------------------------------------------------------------------
+# one-coordinate searches: survival Tawn II on b1 = b2, survival logistic/MO
+# mixtures on their water-filling curve
+# ---------------------------------------------------------------------------
+
+def _assert_curve_result(model, r):
+    """Route tag, the invariants, at least the 64-start search, and at least
+    the grid oracle's lattice value (d <= 4) less the lattice's reach."""
+    assert r.method == "optimizer"
+    assert r.diagnostics.converged
+    assert r.lambda_star <= min(r.b_star)
+    if r.lambda_star > 0.0:
+        _assert_attained(model, r)
+    assert r.lambda_star >= optimize(model, OptimizerConfig(starts=64)).lambda_star - 1e-12
+    d = model.dim
+    if d <= 4:
+        n, L = {2: 201, 3: 101, 4: 41}[d], math.log(50.0)
+        o = grid_oracle(model, n, L)
+        h = 2.0 * L / (n - 1) / 10.0
+        assert o.lambda_star - r.lambda_star <= 1e-12
+        assert r.lambda_star - o.lambda_star <= r.lambda_star * (1.0 - math.exp(-(d - 1) * h / 2.0))
+
+
+def _tawn2_cases():
+    rng = np.random.default_rng(1991)
+    cases = [
+        (float(rng.uniform(1.0, 8.0)), float(rng.uniform(1.0, 6.0)),
+         float(rng.uniform(1.0, 8.0)), float(rng.uniform(0.0, 1.0)))
+        for _ in range(48)
+    ]
+    cases += [(2.5, 1.7, 3.0, 0.0), (1.0, 2.2, 4.0, 0.6)]  # L = 0: phi = 0, s = 1
+    # s near 1: far out on the line the sum cancels to its round-off
+    cases += [(1.0 + 1e-7, 2.2, 4.0, 0.6), (1.0 + 1e-11, 1.3, 2.0, 0.9)]
+    return [pytest.param(*c, id=f"tawn2-{i}") for i, c in enumerate(cases)]
+
+
+@pytest.mark.parametrize("s, r, t, phi", _tawn2_cases())
+def test_survival_tawn2_searches_its_line(s, r, t, phi):
+    model = SurvivalEvc(TawnTypeII(s=s, r=r, t=t, phi=phi))
+    res = dispatch(model)
+    _assert_curve_result(model, res)
+    assert res.b_star[0] == res.b_star[1]
+    if phi == 0.0 or s == 1.0:
+        assert (res.lambda_star, res.b_star) == (0.0, (1.0, 1.0, 1.0))
+
+
+def _logistic_mo(w, s, a, mo_first=False):
+    logistic, mo = Logistic(s, len(a)), MarshallOlkin.with_boundary(a)
+    if mo_first:
+        return SurvivalEvc(Mixture(1.0 - w, mo, logistic))
+    return SurvivalEvc(Mixture(w, logistic, mo))
+
+
+def _logistic_mo_cases():
+    rng = np.random.default_rng(2009)
+    cases = []
+    for i in range(50):
+        d = 2 + i % 5
+        w, s = float(rng.uniform(0.02, 0.98)), float(rng.uniform(1.05, 8.0))
+        a = tuple(float(v) for v in rng.uniform(0.02, 1.0, d))
+        cases.append(pytest.param(w, s, a, i % 2 == 1, id=f"d{d}-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("w, s, a, mo_first", _logistic_mo_cases())
+def test_survival_logistic_mo_mixture_searches_its_curve(w, s, a, mo_first):
+    model = _logistic_mo(w, s, a, mo_first)
+    _assert_curve_result(model, dispatch(model))
+
+
+# d = 5, where the default 17-start search fell short of the 64-start value
+# by up to 2e-5 on these models
+@pytest.mark.parametrize("w, s, a", [
+    (0.4086, 2.8195, (0.2385, 0.6075, 0.7221, 0.3364, 0.7373)),
+    (0.43, 2.7093, (0.3899, 0.2894, 0.6191, 0.4691, 0.6794)),
+    (0.3942, 1.9797, (0.6799, 0.5042, 0.5038, 0.3417, 0.2087)),
+    (0.6489, 1.5278, (0.6245, 0.2007, 0.502, 0.462, 0.322)),
+])
+def test_survival_logistic_mo_mixture_d5_reaches_wide_search(w, s, a):
+    model = _logistic_mo(w, s, a)
+    _assert_curve_result(model, dispatch(model))
+
+
+def test_survival_logistic_mo_mixture_component_order():
+    w, s, a = 0.35, 2.2, (0.3, 0.8, 0.55, 0.4)
+    r1, r2 = dispatch(_logistic_mo(w, s, a)), dispatch(_logistic_mo(w, s, a, mo_first=True))
+    assert (r1.method, r2.method) == ("optimizer", "optimizer")
+    assert r1.diagnostics.function_evals < 500
+    assert_allclose(r2.lambda_star, r1.lambda_star, rtol=0, atol=1e-12)
+    assert_allclose(r2.b_star, r1.b_star, rtol=0, atol=1e-6)
+
+
+def test_survival_logistic_mo_mixture_edge_weights_and_zero_parameter():
+    s, a = 2.2, (0.3, 0.8, 0.55, 0.4)
+    d = len(a)
+    # w = 1: the survival logistic, at 1_d; w = 0: the MO closed form
+    r = dispatch(_logistic_mo(1.0, s, a))
+    assert_allclose(r.lambda_star, _logistic_diagonal(d, s), rtol=0, atol=1e-12)
+    assert_allclose(r.b_star, (1.0,) * d, rtol=0, atol=1e-6)
+    r, closed = dispatch(_logistic_mo(0.0, s, a)), closed_form_mo(a)
+    assert r.method == "optimizer"
+    assert_allclose(r.lambda_star, closed.lambda_star, rtol=0, atol=1e-12)
+    assert_allclose(r.b_star, closed.b_star, rtol=0, atol=1e-6)
+    # a zero a_j makes the MO term 0: w times the survival logistic
+    for mo_first in (False, True):
+        r = dispatch(_logistic_mo(0.3, s, (0.3, 0.0, 0.55, 0.4), mo_first))
+        assert (r.method, r.diagnostics.starts_used) == ("optimizer", 1)
+        assert_allclose(r.lambda_star, 0.3 * _logistic_diagonal(d, s), rtol=0, atol=1e-9)
+        assert_allclose(r.b_star, (1.0,) * d, rtol=0, atol=1e-6)
+
+
+def test_survival_logistic_mo_mixture_with_subclass_component_keeps_search():
+    class Gumbel(Logistic):
+        pass
+
+    class Shock(MarshallOlkin):
+        pass
+
+    for stdf in (Mixture(0.5, Gumbel(2.0, 3), MarshallOlkin((0.2, 0.5, 0.8))),
+                 Mixture(0.5, Logistic(2.0, 3), Shock((0.2, 0.5, 0.8)))):
+        r = dispatch(SurvivalEvc(stdf), FAST)
+        assert r.method == "optimizer"
+        assert r.diagnostics.starts_used == FAST.starts + 1
+
+
+def test_curve_routes_spend_at_most_max_evals():
+    for model in (SurvivalEvc(TawnTypeII(s=1.69, r=1.25, t=7.44, phi=0.74)),
+                  _logistic_mo(0.5, 2.0, (0.3, 0.6, 0.45))):
+        for max_evals in (10, 12, 49, 60, 100):
+            r = dispatch(model, OptimizerConfig(max_evals=max_evals))
+            assert r.diagnostics.function_evals <= max_evals
+            assert not r.diagnostics.converged
+        assert dispatch(model).diagnostics.converged
+
+
+# ---------------------------------------------------------------------------
 # direct search
 # ---------------------------------------------------------------------------
 
