@@ -32,15 +32,18 @@ _ENV_SEED = "TAILMAX_SEED"
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
-    if arg_seed is not None:
-        return int(arg_seed)
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
+    seed, source = arg_seed, "--seed"
+    if seed is None:
+        env = os.environ.get(_ENV_SEED)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), _ENV_SEED
         except ValueError as e:
             raise SpecError(f"{_ENV_SEED} must be an integer, got {env!r}") from e
-    return DEFAULT_SEED
+    if seed < 0:  # numpy's generators take seeds >= 0 only
+        raise SpecError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _load_json(path: str):

@@ -117,6 +117,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if int(self.starts) < 0:
             raise SpecError("starts must be >= 0")
+        if int(self.seed) < 0:
+            raise SpecError("seed must be >= 0")
         if int(self.max_evals) < 10:
             raise SpecError("max_evals must be >= 10")
         if not (math.isfinite(float(self.range_log)) and float(self.range_log) > 0):
@@ -520,9 +522,6 @@ def _diagonal_search(value, d: int, cfg: OptimizerConfig):
 
 _SCAN_POINTS = 48  # uniform scan of a one-coordinate route's interval
 _POLISHES = 2      # simplex polishes, from the best local maxima of the scan
-# survival Tawn II is phi times a sum of seven terms, each at most 2 max_j x_j
-# and rounded by a few units: its round-off stays below this times phi max_j x_j
-_TAWN2_NOISE = 32.0 * sys.float_info.epsilon
 
 
 def _curve_search(value, d: int, cfg: OptimizerConfig, curve, lo: float, hi: float,
@@ -596,27 +595,18 @@ def _tawn2_line(model: SurvivalEvc, cfg: OptimizerConfig):
     ``b1 b2 = c`` it is nonincreasing in ``|log b1 - log b2|``, and so is
     its mixture over ``(M, W3)``: the maximum has ``b1 = b2``.  There
     ``min b >= L_N(b) >= L_N(1_3) = v0 / phi`` bounds u to
-    ``[log(v0 / phi), -log(v0 / phi) / 2]``.
-
-    That interval grows without bound as ``v0`` falls (``s`` near 1), and far
-    out the seven-term sum cancels to its round-off.  So a value at or below
-    ``_TAWN2_NOISE * phi * max_j b_j`` reads as 0, and ``v0 = 0`` (``phi =
-    0``, or ``s = 1``, where ``L = 0``) gives 0 at 1_3."""
+    ``[log(v0 / phi), -log(v0 / phi) / 2]``, which grows without bound as
+    ``v0`` falls (``s`` near 1).  ``v0 = 0`` (``phi = 0``, or ``s = 1``,
+    where ``L = 0``) gives 0 at 1_3."""
     phi = model.stdf.phi
-    noise = _TAWN2_NOISE * phi
-
-    def value(b):
-        v = model._value(b)
-        return v if v > noise * max(b) else 0.0
-
-    v0 = value([1.0, 1.0, 1.0])
+    v0 = model._value([1.0, 1.0, 1.0])
     if v0 == 0.0:
         diag = Diagnostics(
             starts_used=0, best_start=0, function_evals=1, converged=True, final_step=0.0
         )
         return 0.0, (1.0, 1.0, 1.0), diag
     lo = min(math.log(v0 / phi), 0.0)
-    return _curve_search(value, 3, cfg, lambda u: [u, u], lo, -lo / 2.0, v0, 1)
+    return _curve_search(model._value, 3, cfg, lambda u: [u, u], lo, -lo / 2.0, v0, 1)
 
 
 def _logistic_mo_curve(model: SurvivalEvc, cfg: OptimizerConfig):
@@ -848,7 +838,8 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
     * ``optimizer`` in one coordinate (``_curve_search``): Tawn II on the
       line ``b = (e^u, e^u, e^(-2u))`` (``_tawn2_line``: its nested logistic
       is a mixture of functions log-concave and symmetric in coordinates 1
-      and 2), and a mixture of a logistic and a Marshall-Olkin model, in
+      and 2; ``tail_copula._nested_sum`` stays accurate where the line runs
+      far out), and a mixture of a logistic and a Marshall-Olkin model, in
       either order, on the curve ``b = exp(y)``, ``y_j = max(x - log a_j,
       tau)`` with ``sum y = 0`` (``_logistic_mo_curve``: the logistic part
       is Schur-concave in ``log b``, so for each ``min_j a_j b_j`` it peaks

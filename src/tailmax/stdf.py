@@ -291,8 +291,10 @@ class TawnTypeI(StdfModel):
                      + ( ((1-t1) w1)**r + ((1-t2) w2)**r ) ** (1/r)
                      + ( (t1 w1)**s + (t2 w2)**s + (t3 w3)**s ) ** (1/s) ]
 
-    for s, r >= 1 and t_j in [0, 1].  t1 = t2 = t3 = 1 collapses to the
-    symmetric logistic family with exponent s (the r-term vanishes exactly).
+    for s, r >= 1 and t_j in [0, 1].  Each term is 1-homogeneous, so with
+    ``||.||_p`` the p-norm both paths evaluate ``l(x) = (1-t3) x3 + ||((1-t1)
+    x1, (1-t2) x2)||_r + ||(t1 x1, t2 x2, t3 x3)||_s``.  t1 = t2 = t3 = 1
+    collapses to the symmetric logistic family with exponent s.
     """
 
     s: float
@@ -316,26 +318,19 @@ class TawnTypeI(StdfModel):
     def dim(self) -> int:
         return 3
 
-    def _value(self, xs: list[float]) -> float:
-        T = xs[0] + xs[1] + xs[2]
-        if T == 0.0:
-            return 0.0
+    def _l(self, x, norm):
+        """l at a point or over columns ``x``; ``norm(values, p)`` is the
+        p-norm of floats or row-wise of columns."""
+        x1, x2, x3 = x
         t1, t2, t3 = self.theta
-        w1, w2, w3 = xs[0] / T, xs[1] / T, xs[2] / T
-        b = (1.0 - t3) * w3
-        b += _powsum_root(((1.0 - t1) * w1, (1.0 - t2) * w2), self.r)
-        b += _powsum_root((t1 * w1, t2 * w2, t3 * w3), self.s)
-        return T * b
+        return ((1.0 - t3) * x3 + norm(((1.0 - t1) * x1, (1.0 - t2) * x2), self.r)
+                + norm((t1 * x1, t2 * x2, t3 * x3), self.s))
+
+    def _value(self, xs: list[float]) -> float:
+        return self._l(xs, _powsum_root)
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        T = _row_sum(X.T)
-        safe = np.where(T > 0.0, T, 1.0)
-        w1, w2, w3 = (v / safe for v in X.T)
-        t1, t2, t3 = self.theta
-        b = (1.0 - t3) * w3
-        b += _powsum_root_np(((1.0 - t1) * w1, (1.0 - t2) * w2), self.r)
-        b += _powsum_root_np((t1 * w1, t2 * w2, t3 * w3), self.s)
-        return np.where(T > 0.0, T * b, 0.0)
+        return self._l(X.T, _powsum_root_np)
 
     def params(self) -> dict:
         return {"s": self.s, "r": self.r, "theta": list(self.theta)}
@@ -350,7 +345,9 @@ class TawnTypeII(StdfModel):
         l(x) = T * [ phi * ( (w1**(r*s) + w2**(r*s)) ** (1/r) + w3**s ) ** (1/s)
                      + (1-phi) * ( (w1**t + w2**t) ** (1/t) + w3 ) ]
 
-    for s, r, t >= 1 and phi in [0, 1].  phi = 1 makes the t-term inert.
+    for s, r, t >= 1 and phi in [0, 1].  As ``(w1**(r*s) + w2**(r*s)) **
+    (1/r) = ||(w1, w2)||_(rs) ** s``, both paths evaluate ``l(x) = phi
+    ||(||(x1, x2)||_(rs), x3)||_s + (1-phi) (||(x1, x2)||_t + x3)``.
     """
 
     s: float
@@ -372,26 +369,16 @@ class TawnTypeII(StdfModel):
     def dim(self) -> int:
         return 3
 
+    def _l(self, x, norm):
+        x1, x2, x3 = x
+        u = norm((x1, x2), self.r * self.s)
+        return self.phi * norm((u, x3), self.s) + (1.0 - self.phi) * (norm((x1, x2), self.t) + x3)
+
     def _value(self, xs: list[float]) -> float:
-        T = xs[0] + xs[1] + xs[2]
-        if T == 0.0:
-            return 0.0
-        w1, w2, w3 = xs[0] / T, xs[1] / T, xs[2] / T
-        # (w1**(r s) + w2**(r s))**(1/r) == u**s with u the (r s)-power mean sum
-        u = _powsum_root((w1, w2), self.r * self.s)
-        b = self.phi * _powsum_root((u, w3), self.s)
-        b += (1.0 - self.phi) * (_powsum_root((w1, w2), self.t) + w3)
-        return T * b
+        return self._l(xs, _powsum_root)
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        T = _row_sum(X.T)
-        safe = np.where(T > 0.0, T, 1.0)
-        w1, w2, w3 = (v / safe for v in X.T)
-        u = _powsum_root_np((w1, w2), self.r * self.s)
-        first = _powsum_root_np((u, w3), self.s)
-        second = _powsum_root_np((w1, w2), self.t) + w3
-        b = self.phi * first + (1.0 - self.phi) * second
-        return np.where(T > 0.0, T * b, 0.0)
+        return self._l(X.T, _powsum_root_np)
 
     def params(self) -> dict:
         return {"s": self.s, "r": self.r, "t": self.t, "phi": self.phi}

@@ -8,8 +8,9 @@ x_j``.  Four routes are implemented:
   dependence function l, via the alternating sum of sub-vector margins
   ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``.  Any additive part of l
   that ignores a coordinate cancels from the sum, so each family of l takes
-  an identity (listed under ``SurvivalEvc``); only an l of another type
-  sums its ``2^d - 1`` margins one by one;
+  an identity (listed under ``SurvivalEvc``; Tawn I and II share one sum of
+  three bivariate survival logistics); only an l of another type sums its
+  ``2^d - 1`` margins one by one;
 * ``Archimax``: generator with regular-variation index a > 0 plus an l,
   ``L(x) = l(x_1**(-1/a), ..., x_d**(-1/a)) ** (-a)``.  An Archimedean
   copula with a regularly varying generator is the case l = independence
@@ -137,6 +138,24 @@ def _needs_subsets(stdf: StdfModel) -> bool:
     return type(stdf) is not MarshallOlkin
 
 
+def _nested_sum(x, s: float, p: float, batch: bool):
+    """Survival nested logistic ``N(x; s, p) = P(x1, x3) + P(x2, x3) - P(u,
+    x3)``, ``u = ||(x1, x2)||_p``, at one point (a list) or row-wise over an
+    (n, 3) array.  ``P(a, b) = a + b - ||(a, b)||_s = m - M expm1(log1p((m /
+    M)^s) / s)``, with m and M the smaller and larger of a and b, is 0 at
+    m = 0 and rounds at the scale of m, not at that of the largest margin."""
+    lo, hi, xp = (np.minimum, np.maximum, np) if batch else (min, max, math)
+    x1, x2, x3 = x.T if batch else x
+    u = (_powsum_root_np if batch else _powsum_root)((x1, x2), p)
+
+    def pair(a, b):
+        m, M = lo(a, b), hi(a, b)
+        q = m / (M + (M == 0.0))  # M is 0 only where m is: 0 / 1 there
+        return m - M * xp.expm1(xp.log1p(q ** s) / s)
+
+    return pair(x1, x3) + pair(x2, x3) - pair(u, x3)
+
+
 def _survival_sum(stdf: StdfModel, x, batch: bool):
     """Alternating margin sum of ``stdf`` at one point (a list) or row-wise
     over an (n, d) array, unclamped.
@@ -145,7 +164,7 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
     ``_value`` and with it the identity; ``SurvivalEvc`` lists the routes.
     Each identity drops the additive parts of l that ignore a coordinate:
     subsets with and without that coordinate give the same margin with
-    opposite signs.
+    opposite signs.  Both Tawn families reduce to ``_nested_sum``.
     """
     kind = type(stdf)
     if kind is MarshallOlkin:
@@ -159,21 +178,11 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
         )
     if kind is Logistic:
         return _logistic_sum(x, stdf.s, batch)
-    if kind is TawnTypeI:  # the logistic at theta * x: 0 if some theta_j is 0
+    if kind is TawnTypeI:  # the trivariate survival logistic at theta * x
         y = x * np.asarray(stdf.theta) if batch else [t * v for t, v in zip(stdf.theta, x)]
-        return _logistic_sum(y, stdf.s, batch)
-    if kind is TawnTypeII:  # phi times the nested logistic ||(u, x3)||_s
-        if batch:
-            x1, x2, x3 = x.T
-            norm = lambda a, b, p: _powsum_root_np((a, b), p)
-            add = _neumaier
-        else:
-            x1, x2, x3 = x
-            norm = lambda a, b, p: _powsum_root((a, b), p)
-            add = math.fsum
-        s = stdf.s
-        u = norm(x1, x2, stdf.r * s)
-        return stdf.phi * add((x1, x2, x3, -u, -norm(x1, x3, s), -norm(x2, x3, s), norm(u, x3, s)))
+        return _nested_sum(y, stdf.s, stdf.s, batch)
+    if kind is TawnTypeII:
+        return stdf.phi * _nested_sum(x, stdf.s, stdf.r * stdf.s, batch)
     if batch:
         return _subset_sum(stdf, x)
     return float(_subset_sum(stdf, np.array([x]))[0])
@@ -238,12 +247,13 @@ class SurvivalEvc(TailCopulaModel):
     * logistic: the 2^d - 1 margins from running power sums over the
       coordinates in descending order, one power per margin instead of d,
       summed with ``math.fsum`` (one point) or Neumaier's sum (row-wise);
-    * Tawn I: the logistic with exponent s at ``(t1 x1, t2 x2, t3 x3)``, since
-      the r-term and ``(1 - t3) x3`` cancel; 0 if some ``t_j`` is 0;
-    * Tawn II: ``phi`` times the survival nested logistic
-      ``x1 + x2 + x3 - u - ||(x1, x3)||_s - ||(x2, x3)||_s + ||(u, x3)||_s``
-      with ``u = ||(x1, x2)||_(rs)``, since the ``(1 - phi)`` part cancels
-      (Tawn, Biometrika 1990).
+    * Tawn I and Tawn II: the survival nested logistic ``N(x; s, p) = x1 + x2
+      + x3 - u - ||(x1, x3)||_s - ||(x2, x3)||_s + ||(u, x3)||_s``, ``u =
+      ||(x1, x2)||_p`` (Tawn, Biometrika 1990), summed as three bivariate
+      survival logistics (``_nested_sum``).  Tawn I is ``N(theta * x; s, s)``,
+      the trivariate survival logistic at ``(t1 x1, t2 x2, t3 x3)``, since the
+      r-term and ``(1 - t3) x3`` cancel (0 if some ``t_j`` is 0); Tawn II is
+      ``phi N(x; s, rs)``, since the ``(1 - phi)`` part cancels.
 
     Any other l (a subclass, or a user-defined l) sums its margins over the
     subset bitmasks.  Only routes with 2^d - 1 terms cap d at

@@ -371,15 +371,18 @@ def _searched_spec(draw):
     spec=_searched_spec(),
     max_evals=st.integers(min_value=10, max_value=200),
     tol=st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
+    seed=st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
 )
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_search_budget_and_tolerance_cli_contract(write_json, capsys, spec, max_evals, tol):
+def test_search_budget_and_tolerance_cli_contract(write_json, capsys, spec, max_evals, tol, seed):
     path = write_json("surv.json", spec)
     code, out, err = run(capsys, "mtcm", "--model", path, "--format", "json",
-                         "--max-evals", str(max_evals), "--tol", repr(tol))
+                         "--max-evals", str(max_evals), "--tol", repr(tol), "--seed", str(seed))
     assert code in (0, 1, 2)
     assert err.count("\n") <= 1
+    if seed < 0:
+        assert code == 2
     if code == 0:
         result = json.loads(out)["result"]
         b = result["b_star"]
@@ -424,7 +427,8 @@ def _subcommand_call(draw):
     d = draw(st.integers(min_value=2, max_value=6))
     samples = draw(st.one_of(st.integers(min_value=1, max_value=50),
                              st.integers(min_value=10 ** 7 + 1, max_value=10 ** 12)))
-    return ["validate", "--samples", str(samples), "--model"], draw(_stdf_spec(d))
+    seed = draw(st.integers(min_value=-(2 ** 70), max_value=2 ** 70))
+    return ["validate", "--samples", str(samples), "--seed", str(seed), "--model"], draw(_stdf_spec(d))
 
 
 # a numpy RuntimeWarning would print its own stderr lines from a real process
@@ -697,6 +701,21 @@ def test_env_seed_override(write_json, capsys, monkeypatch):
     code, _, err = run(capsys, "mtcm", "--model", path, "--starts", "2")
     assert code == 2
     assert "TAILMAX_SEED" in err
+    # numpy's generators take a seed >= 0 only: a negative one is a usage error
+    monkeypatch.setenv("TAILMAX_SEED", "-3")
+    code, out, err = run(capsys, "mtcm", "--model", path)
+    assert (code, out) == (2, "")
+    assert "TAILMAX_SEED must be >= 0" in err and err.count("\n") == 1
+    monkeypatch.delenv("TAILMAX_SEED")
+    two_logistics = write_json("mix.json", {"family": "survival_evc", "dimension": 3, "params": {
+        "stdf": {"family": "mixture", "dimension": 3, "params": {"weight": 0.4, "components": [
+            {"family": "logistic", "dimension": 3, "params": {"s": 1.5}},
+            {"family": "logistic", "dimension": 3, "params": {"s": 4.0}}]}}}})
+    validate_model = write_json("logistic.json", {"family": "logistic", "dimension": 3, "params": {"s": 2.0}})
+    for argv in (["mtcm", "--model", two_logistics], ["validate", "--model", validate_model]):
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "--seed must be >= 0" in err and err.count("\n") == 1
 
 
 def test_json_output_byte_identical_across_runs(write_json, tmp_path, capsys):

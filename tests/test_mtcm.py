@@ -395,7 +395,7 @@ def _tawn2_cases():
         for _ in range(48)
     ]
     cases += [(2.5, 1.7, 3.0, 0.0), (1.0, 2.2, 4.0, 0.6)]  # L = 0: phi = 0, s = 1
-    # s near 1: far out on the line the sum cancels to its round-off
+    # s near 1: the line reaches far out, where x3 dwarfs x1 = x2
     cases += [(1.0 + 1e-7, 2.2, 4.0, 0.6), (1.0 + 1e-11, 1.3, 2.0, 0.9)]
     return [pytest.param(*c, id=f"tawn2-{i}") for i, c in enumerate(cases)]
 
@@ -408,6 +408,12 @@ def test_survival_tawn2_searches_its_line(s, r, t, phi):
     assert res.b_star[0] == res.b_star[1]
     if phi == 0.0 or s == 1.0:
         assert (res.lambda_star, res.b_star) == (0.0, (1.0, 1.0, 1.0))
+
+
+def test_survival_tawn2_oracle_stays_below_line_search_far_out():
+    # a lattice out to e^150 reaches points where x3 dwarfs x1 = x2
+    model = SurvivalEvc(TawnTypeII(s=1.0 + 1e-7, r=2.2, t=4.0, phi=0.6))
+    assert grid_oracle(model, 11, 150.0).lambda_star <= dispatch(model).lambda_star + 1e-12
 
 
 def _logistic_mo(w, s, a, mo_first=False):
@@ -845,6 +851,8 @@ def test_config_round_trip_and_validation():
     assert OptimizerConfig(**cfg.to_dict()) == cfg
     with pytest.raises(SpecError):
         OptimizerConfig(starts=-1)
+    with pytest.raises(SpecError, match="seed must be >= 0"):
+        OptimizerConfig(seed=-1)
     with pytest.raises(SpecError):
         OptimizerConfig(tol=0.0)
     with pytest.raises(SpecError):

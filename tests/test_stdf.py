@@ -261,6 +261,50 @@ def test_tawn_zero_sum_point():
     assert TawnTypeII(s=2.0, r=1.5, t=2.0, phi=0.5).value([0.0, 0.0, 0.0]) == 0.0
 
 
+def _pnorm(vs, p):
+    m = max(vs)
+    return 0.0 if m == 0.0 else m * sum((v / m) ** p for v in vs) ** (1.0 / p)
+
+
+def _tawn1_on_weights(m, x):
+    """The T-normalised Tawn I formula of the class docstring."""
+    T = sum(x)
+    if T == 0.0:
+        return 0.0
+    (t1, t2, t3), (w1, w2, w3) = m.theta, (v / T for v in x)
+    return T * ((1.0 - t3) * w3 + _pnorm(((1.0 - t1) * w1, (1.0 - t2) * w2), m.r)
+                + _pnorm((t1 * w1, t2 * w2, t3 * w3), m.s))
+
+
+def _tawn2_on_weights(m, x):
+    """The T-normalised Tawn II formula of the class docstring."""
+    T = sum(x)
+    if T == 0.0:
+        return 0.0
+    w1, w2, w3 = (v / T for v in x)
+    nested = ((w1 ** (m.r * m.s) + w2 ** (m.r * m.s)) ** (1.0 / m.r) + w3 ** m.s) ** (1.0 / m.s)
+    return T * (m.phi * nested + (1.0 - m.phi) * ((w1 ** m.t + w2 ** m.t) ** (1.0 / m.t) + w3))
+
+
+@pytest.mark.parametrize("model, reference", [
+    (TawnTypeI(s=2.48, r=1.0, theta=(1.0, 1.0, 0.25)), _tawn1_on_weights),
+    (TawnTypeI(s=7.44, r=2.21, theta=(0.23, 0.23, 0.55)), _tawn1_on_weights),
+    (TawnTypeI(s=1.0, r=40.0, theta=(0.0, 0.7, 1.0)), _tawn1_on_weights),
+    (TawnTypeII(s=1.69, r=1.25, t=7.44, phi=0.74), _tawn2_on_weights),
+    (TawnTypeII(s=1.0, r=1.0, t=1.0, phi=0.5), _tawn2_on_weights),
+    (TawnTypeII(s=6.3, r=4.1, t=1.2, phi=1.0), _tawn2_on_weights),
+    (TawnTypeII(s=1.2, r=2.5, t=30.0, phi=0.0), _tawn2_on_weights),
+])
+def test_tawn_homogeneous_form_matches_weight_form(model, reference):
+    X = np.exp(np.random.default_rng(43).uniform(-3.0, 3.0, (1000, 3)))
+    zeros = np.array([[0.0, 0.0, 0.0], [0.0, 1.3, 2.1], [0.7, 0.0, 4.0], [2.2, 0.9, 0.0],
+                      [0.0, 0.0, 3.3], [0.0, 1.1, 0.0], [5.0, 0.0, 0.0]])
+    X = np.vstack([X, zeros])
+    ref = [reference(model, x) for x in X.tolist()]
+    assert_allclose([model.value(x) for x in X], ref, rtol=1e-14, atol=0.0)
+    assert_allclose(model.value_batch(X), ref, rtol=1e-14, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # randomized self-check
 # ---------------------------------------------------------------------------

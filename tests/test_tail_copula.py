@@ -1,6 +1,7 @@
 """Tail copula evaluation: routes, bounds, identities, index calculus."""
 
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -116,6 +117,11 @@ def test_survival_route_matches_naive_subset_sum(stdf):
     rng = np.random.default_rng(19)
     tc = SurvivalEvc(stdf)
     X = rng.uniform(0.1, 4.0, (20, stdf.dim))
+    # far-out points: coordinate ratios up to e^20
+    far = np.exp(rng.uniform(-20.0, 0.0, (20, stdf.dim)))
+    far[0] = 1.0
+    far[0, 0] = math.exp(-20.0)
+    X = np.vstack([X, far])
     naive = [naive_survival_tail(stdf, x) for x in X]
     assert_allclose([tc.value(x) for x in X], naive, atol=1e-12)
     assert_allclose(tc.value_batch(X), naive, atol=1e-12)
@@ -135,6 +141,31 @@ def test_survival_tawn_identities():
     X = np.array([[5e-324] * 3, [1.0, 1.0, 5e-324], [1.0, 2.0, 3.0]])
     assert_allclose(tc.value_batch(X), [tc.value(x) for x in X], rtol=1e-15, atol=0.0)
     assert list(tc.value_batch(X)[:2]) == [0.0, 0.0]
+
+
+def _exact_survival_tawn2(m, x):
+    """phi times the survival nested logistic, in 60-digit decimals."""
+    getcontext().prec = 60
+    s, rs = Decimal(m.s), Decimal(m.r * m.s)
+
+    def norm(vs, p):
+        return sum(Decimal(v) ** p for v in vs) ** (1 / p)
+
+    x1, x2, x3 = (Decimal(v) for v in x)
+    u = norm((x1, x2), rs)
+    return float(Decimal(m.phi) * (x1 + x2 + x3 - u - norm((x1, x3), s) - norm((x2, x3), s)
+                                   + norm((u, x3), s)))
+
+
+def test_survival_tawn2_far_out_on_its_line():
+    # x3 dwarfs x1 = x2: the value is far below the round-off of the margins
+    m = TawnTypeII(s=1.0 + 1e-7, r=2.2, t=4.0, phi=0.6)
+    tc, x = SurvivalEvc(m), (6.8e-6, 6.8e-6, 2.1e10)
+    bound = m.phi * SurvivalEvc(Logistic(m.s, 2)).value((x[0], x[2]))
+    exact = _exact_survival_tawn2(m, x)
+    for v in (tc.value(x), float(tc.value_batch([x])[0])):
+        assert v <= bound
+        assert_allclose(v, exact, rtol=1e-8)
 
 
 def test_survival_logistic_sorts_wide_points():
