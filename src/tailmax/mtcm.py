@@ -43,7 +43,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -340,12 +340,13 @@ class _Candidate:
     final_step: float
 
 
-def _start_points(d_free: int, cfg: OptimizerConfig) -> list[list[float]]:
+def _start_points(d_free: int, cfg: OptimizerConfig) -> Iterator[list[float]]:
+    """The diagonal, then ``cfg.starts`` seeded uniform starts, each drawn
+    only when its search begins."""
+    yield [0.0] * d_free
     rng = np.random.default_rng(cfg.seed)
-    pts = [[0.0] * d_free]
     for _ in range(cfg.starts):
-        pts.append(rng.uniform(-cfg.range_log, cfg.range_log, d_free).tolist())
-    return pts
+        yield rng.uniform(-cfg.range_log, cfg.range_log, d_free).tolist()
 
 
 def _nelder_mead(f, x0: list[float], tol: float, max_evals: int):
@@ -481,17 +482,24 @@ def _pruned_objective(value, v0: float, d: int):
     return fobj, best
 
 
-def _maximize(value, d: int, cfg: OptimizerConfig, starts: list[list[float]]):
+def _maximize(value, d: int, cfg: OptimizerConfig, starts: Iterable[list[float]]):
     """Maximize ``value`` over the unit-product set; ``value`` maps a positive
     point ``b`` (a list) to a number in ``[0, min_j b_j]``.
 
     One simplex search per start point, in log coordinates, each on its own
     pruned objective (``_pruned_objective``).  The starts reduce by value,
-    ties then by the lexicographically smallest point.
+    ties then by the lexicographically smallest point.  A simplex holds
+    ``d (d - 1)`` coordinates; above 10^7 the search raises
+    ``EvaluationError`` before building one.
 
     Returns ``(value, point, diagnostics)``.  A maximum below the degeneracy
     threshold counts as converged: there is no direction to converge to.
     """
+    if d * (d - 1) > _MAX_POINTS:
+        raise EvaluationError(
+            f"a search simplex in dimension {d} holds {d * (d - 1)} coordinates, "
+            f"above the cap of {_MAX_POINTS}"
+        )
     v0 = value([1.0] * d)
     total_evals = 1
     candidates: list[_Candidate] = []
@@ -832,27 +840,31 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
     * ``optimizer`` from the diagonal alone: the symmetric logistic and Tawn
       I, whose ``x -> L(e^x)`` is log-concave (``L(x) = E[min_j x_j W_j]``
       with iid Frechet ``W_j``, so Prekopa's theorem applies; Tawn I is that
-      function at ``theta * x``), so their only local maximum is the global
-      one.  ``config.tol`` and ``config.max_evals`` apply, ``starts``,
-      ``seed`` and ``range_log`` do not;
+      function at ``theta * x``, and both evaluate through
+      ``tail_copula._logistic_sum``, which rounds at the scale of ``min_j
+      b_j``), so their only local maximum is the global one.
+      ``config.tol`` and ``config.max_evals`` apply, ``starts``, ``seed``
+      and ``range_log`` do not;
     * ``optimizer`` in one coordinate (``_curve_search``): Tawn II on the
       line ``b = (e^u, e^u, e^(-2u))`` (``_tawn2_line``: its nested logistic
       is a mixture of functions log-concave and symmetric in coordinates 1
-      and 2; ``tail_copula._nested_sum`` stays accurate where the line runs
-      far out), and a mixture of a logistic and a Marshall-Olkin model, in
-      either order, on the curve ``b = exp(y)``, ``y_j = max(x - log a_j,
-      tau)`` with ``sum y = 0`` (``_logistic_mo_curve``: the logistic part
-      is Schur-concave in ``log b``, so for each ``min_j a_j b_j`` it peaks
-      there).  A zero ``a_j`` leaves w times the survival logistic, which
-      runs the diagonal start.  ``config.tol`` applies and
-      ``config.max_evals`` caps the whole search; ``starts``, ``seed`` and
-      ``range_log`` do not apply.
+      and 2; ``tail_copula._nested_sum`` rounds at the scale of ``b1 = b2``
+      where the line runs far out with ``b3`` largest), and a mixture of a
+      logistic and a Marshall-Olkin model, in either order, on the curve
+      ``b = exp(y)``, ``y_j = max(x - log a_j, tau)`` with ``sum y = 0``
+      (``_logistic_mo_curve``: the logistic part is Schur-concave in
+      ``log b``, so for each ``min_j a_j b_j`` it peaks there).  A zero
+      ``a_j`` leaves w times the survival logistic, which runs the diagonal
+      start.  ``config.tol`` applies and ``config.max_evals`` caps the whole
+      search; ``starts``, ``seed`` and ``range_log`` do not apply.
 
     Nested Archimedean trees get their closed form.  Archimax (Archimedean
     copulas included, as Archimax over independence) goes through
     ``archimax_mtcm`` (closed form when l is exchangeable, else one start
     from the diagonal).  Everything else (other mixtures, ``MixtureTail``,
-    subclasses) runs the multi-start search of ``optimize``.
+    subclasses) runs the multi-start search of ``optimize``.  A search
+    whose simplex would hold more than 10^7 coordinates (d >= 3163) raises
+    ``EvaluationError``.
     A search or tree whose ``lambda*`` is below 1e-12 is reported as 0 with
     maximizer 1_d.
     """

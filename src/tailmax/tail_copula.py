@@ -8,8 +8,9 @@ x_j``.  Four routes are implemented:
   dependence function l, via the alternating sum of sub-vector margins
   ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``.  Any additive part of l
   that ignores a coordinate cancels from the sum, so each family of l takes
-  an identity (listed under ``SurvivalEvc``; Tawn I and II share one sum of
-  three bivariate survival logistics); only an l of another type sums its
+  an identity (listed under ``SurvivalEvc``; the logistic and Tawn I share
+  one sum paired on the smallest coordinate, Tawn II takes a sum of three
+  bivariate survival logistics); only an l of another type sums its
   ``2^d - 1`` margins one by one;
 * ``Archimax``: generator with regular-variation index a > 0 plus an l,
   ``L(x) = l(x_1**(-1/a), ..., x_d**(-1/a)) ** (-a)``.  An Archimedean
@@ -44,7 +45,7 @@ __all__ = [
     "rv_index",
 ]
 
-MAX_SUBSET_DIM = 20  # the alternating sum has 2^d - 1 terms
+MAX_SUBSET_DIM = 20  # the logistic sum has 2^(d-1) terms, the subset loop 2^d - 1
 MAX_TRANSFORM_DEPTH = 200  # generator descriptors are resolved recursively
 
 # round-off from the alternating sum: clamp small negatives, reject anything
@@ -58,46 +59,63 @@ _RESCALE_EXP = 960
 
 def _neumaier(terms) -> np.ndarray:
     """Row-wise Neumaier-compensated sum of an iterable of arrays; the
-    alternating sums cancel almost completely near independence."""
-    s = comp = 0.0
+    alternating sums cancel almost completely near independence.  Each
+    step's rounding error is Knuth's branch-free two-sum, equal to Neumaier's
+    branch on ``|s| >= |term|`` and far cheaper than ``np.where``."""
+    terms = iter(terms)
+    s, comp = next(terms), 0.0
     for term in terms:
         t = s + term
-        comp += np.where(np.abs(s) >= np.abs(term), (s - t) + term, (term - t) + s)
+        z = t - s
+        comp += (s - (t - z)) + (term - z)
         s = t
     return s + comp
 
 
-def _logistic_terms(x, s: float):
-    """Signed terms ``(-1)^(|S|-1) l_S(x)`` of the logistic alternating sum.
+def _logistic_terms(x, s: float, xp):
+    """Signed terms of the survival logistic sum, paired on the smallest
+    coordinate; ``xp`` is ``math`` for one point and ``np`` for columns.
 
-    ``x`` is a descending sequence of positive floats, or of the columns of
-    a row-sorted array, so every ratio ``(x_j / x_i)^s`` lies in [0, 1].  The
-    subsets whose largest coordinate is x_i are walked depth-first over the
-    later coordinates, keeping the running sum ``1 + sum_{j in S} (x_j /
-    x_i)^s`` for each level, so a subset costs one add and one power:
-    ``l_S(x) = x_i * (running sum) ** (1/s)``.  Memory is O(d) terms.
+    ``x`` is a descending sequence of nonnegative floats, or the columns of
+    a row-sorted array, so its last entry ``x_k`` is the smallest.  Pairing
+    each nonempty subset S of the larger coordinates with ``S + {k}`` gives
+    ``L(x) = x_k - sum_S (-1)^(|S|-1) D_S``, ``D_S = ||x_(S+k)||_s -
+    ||x_S||_s = ||x_S||_s expm1(log1p((x_k / ||x_S||_s)^s) / s)``, so every
+    term lies in ``[0, x_k]`` and rounds at the scale of ``min_j x_j``, not
+    at that of the largest margin.  The subsets whose largest coordinate is
+    x_i are walked depth-first over the later larger coordinates, keeping
+    the running sum ``a = 1 + sum_{j in S, j != i} (x_j / x_i)^s`` for each
+    level: ``||x_S||_s = x_i a^(1/s)`` and ``(x_k / ||x_S||_s)^s = (x_k /
+    x_i)^s / a``.  A zero x_k makes every D_S 0; x_i is 0 only where x_k
+    is, and is taken as 1 there to avoid 0/0.  Memory is O(d) terms.
     """
     inv = 1.0 / s
-    d = len(x)
-    pos = [0] * d  # pos[:t]: chosen indices into ``r``, increasing
-    acc = [1.0] * d  # acc[t]: 1 plus the ratios at pos[:t]
-    for i in range(d):
+    expm1, log1p = xp.expm1, xp.log1p
+    n = len(x) - 1  # x[:n] are the larger coordinates
+    xk = x[n]
+    yield xk
+    pos = [0] * n  # pos[:t]: chosen indices into ``r``, increasing
+    acc = [1.0] * n  # acc[t]: 1 plus the ratios at pos[:t]
+    for i in range(n):
         xi = x[i]
-        yield xi
-        m = d - 1 - i
+        xi = xi + (xi == 0.0)
+        q = (xk / xi) ** s
+        yield -xi * expm1(log1p(q) * inv)  # S = {i}
+        m = n - 1 - i
         if not m:
             return
-        r = [(v / xi) ** s for v in x[i + 1:]]
-        neg = -xi
+        r = [(v / xi) ** s for v in x[i + 1:n]]
         t = 1
         pos[0] = 0
         acc[1] = 1.0 + r[0]
         while True:
-            yield (neg if t & 1 else xi) * acc[t] ** inv
+            a = acc[t]
+            d_s = xi * a ** inv * expm1(log1p(q / a) * inv)
+            yield d_s if t & 1 else -d_s  # |S| = t + 1
             k = pos[t - 1] + 1
             if k < m:  # descend: append the next index
                 pos[t] = k
-                acc[t + 1] = acc[t] + r[k]
+                acc[t + 1] = a + r[k]
                 t += 1
             else:  # the last index is taken: drop it, advance the one before
                 t -= 1
@@ -108,17 +126,24 @@ def _logistic_terms(x, s: float):
                 acc[t] = acc[t - 1] + r[k]
 
 
+def _descending_columns(cols) -> list:
+    """The d columns of an (n, d) array with each row sorted in descending
+    order, by bubble compare-swaps: column passes, which numpy runs far
+    faster than a sort along the short axis 1."""
+    cols = list(cols)
+    for end in range(len(cols) - 1, 0, -1):
+        for j in range(end):
+            a, b = cols[j], cols[j + 1]
+            cols[j], cols[j + 1] = np.maximum(a, b), np.minimum(a, b)
+    return cols
+
+
 def _logistic_sum(x, s: float, batch: bool):
-    """Survival logistic sum at one point or row-wise; a zero coordinate
-    gives 0 (``L <= min x``), which also keeps the ratios finite."""
-    if not batch:
-        xs = sorted(x, reverse=True)
-        return 0.0 if xs[-1] == 0.0 else math.fsum(_logistic_terms(xs, s))
-    cols = np.sort(x, axis=1).T[::-1]
-    ok = cols[-1] > 0.0
-    out = np.zeros(x.shape[0])
-    out[ok] = _neumaier(_logistic_terms(cols[:, ok], s))
-    return out
+    """Survival logistic sum at one point (a list of floats) or row-wise
+    (a sequence of d columns); a zero coordinate gives 0 (``L <= min x``)."""
+    if batch:
+        return _neumaier(_logistic_terms(_descending_columns(x), s, np))
+    return math.fsum(_logistic_terms(sorted(x, reverse=True), s, math))
 
 
 def _subset_sum(stdf: StdfModel, X: np.ndarray) -> np.ndarray:
@@ -132,7 +157,8 @@ def _subset_sum(stdf: StdfModel, X: np.ndarray) -> np.ndarray:
 
 
 def _needs_subsets(stdf: StdfModel) -> bool:
-    """Whether some component of l takes a route with 2^d - 1 terms."""
+    """Whether some component of l takes a route whose term count grows as
+    2^d."""
     if type(stdf) is Mixture:
         return _needs_subsets(stdf.first) or _needs_subsets(stdf.second)
     return type(stdf) is not MarshallOlkin
@@ -141,9 +167,12 @@ def _needs_subsets(stdf: StdfModel) -> bool:
 def _nested_sum(x, s: float, p: float, batch: bool):
     """Survival nested logistic ``N(x; s, p) = P(x1, x3) + P(x2, x3) - P(u,
     x3)``, ``u = ||(x1, x2)||_p``, at one point (a list) or row-wise over an
-    (n, 3) array.  ``P(a, b) = a + b - ||(a, b)||_s = m - M expm1(log1p((m /
-    M)^s) / s)``, with m and M the smaller and larger of a and b, is 0 at
-    m = 0 and rounds at the scale of m, not at that of the largest margin."""
+    (n, 3) array; Tawn II's survival sum is ``phi N(x; s, rs)``.  ``P(a, b)
+    = a + b - ||(a, b)||_s = m - M expm1(log1p((m / M)^s) / s)``, with m and
+    M the smaller and larger of a and b, is 0 at m = 0 and rounds at the
+    scale of m.  Since ``u >= max(x1, x2)``, the last two pairs cancel at the
+    scale of ``min(max(x1, x2), x3)``, the middle coordinate when x1 or x2
+    is the smallest: the sum rounds at ``min_j x_j`` only when x3 is."""
     lo, hi, xp = (np.minimum, np.maximum, np) if batch else (min, max, math)
     x1, x2, x3 = x.T if batch else x
     u = (_powsum_root_np if batch else _powsum_root)((x1, x2), p)
@@ -164,7 +193,8 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
     ``_value`` and with it the identity; ``SurvivalEvc`` lists the routes.
     Each identity drops the additive parts of l that ignore a coordinate:
     subsets with and without that coordinate give the same margin with
-    opposite signs.  Both Tawn families reduce to ``_nested_sum``.
+    opposite signs.  The logistic and Tawn I reduce to ``_logistic_sum``,
+    Tawn II to ``_nested_sum``.
     """
     kind = type(stdf)
     if kind is MarshallOlkin:
@@ -176,11 +206,11 @@ def _survival_sum(stdf: StdfModel, x, batch: bool):
         return w * _survival_sum(stdf.first, x, batch) + (1.0 - w) * _survival_sum(
             stdf.second, x, batch
         )
+    cols = x.T if batch else x
     if kind is Logistic:
-        return _logistic_sum(x, stdf.s, batch)
+        return _logistic_sum(cols, stdf.s, batch)
     if kind is TawnTypeI:  # the trivariate survival logistic at theta * x
-        y = x * np.asarray(stdf.theta) if batch else [t * v for t, v in zip(stdf.theta, x)]
-        return _nested_sum(y, stdf.s, stdf.s, batch)
+        return _logistic_sum([t * v for t, v in zip(stdf.theta, cols)], stdf.s, batch)
     if kind is TawnTypeII:
         return stdf.phi * _nested_sum(x, stdf.s, stdf.r * stdf.s, batch)
     if batch:
@@ -244,24 +274,32 @@ class SurvivalEvc(TailCopulaModel):
       into the min;
     * a mixture ``w l_1 + (1-w) l_2``: ``w L_1 + (1-w) L_2``, because the sum
       is linear in l;
-    * logistic: the 2^d - 1 margins from running power sums over the
-      coordinates in descending order, one power per margin instead of d,
-      summed with ``math.fsum`` (one point) or Neumaier's sum (row-wise);
-    * Tawn I and Tawn II: the survival nested logistic ``N(x; s, p) = x1 + x2
-      + x3 - u - ||(x1, x3)||_s - ||(x2, x3)||_s + ||(u, x3)||_s``, ``u =
-      ||(x1, x2)||_p`` (Tawn, Biometrika 1990), summed as three bivariate
-      survival logistics (``_nested_sum``).  Tawn I is ``N(theta * x; s, s)``,
-      the trivariate survival logistic at ``(t1 x1, t2 x2, t3 x3)``, since the
-      r-term and ``(1 - t3) x3`` cancel (0 if some ``t_j`` is 0); Tawn II is
-      ``phi N(x; s, rs)``, since the ``(1 - phi)`` part cancels.
+    * logistic: each subset S of the d - 1 larger coordinates is paired with
+      ``S + {k}``, k the smallest coordinate, so ``L(x) = x_k - sum_S
+      (-1)^(|S|-1) D_S`` with ``D_S = ||x_S||_s expm1(log1p((x_k /
+      ||x_S||_s)^s) / s)`` in ``[0, x_k]``; the 2^(d-1) - 1 terms come from
+      running power sums over the coordinates in descending order and are
+      summed with ``math.fsum`` (one point) or Neumaier's sum (row-wise)
+      (``_logistic_sum``);
+    * Tawn I: the r-term and ``(1 - t3) x3`` cancel, leaving the trivariate
+      survival logistic at ``(t1 x1, t2 x2, t3 x3)`` (0 if some ``t_j`` is
+      0), summed as the logistic;
+    * Tawn II: ``phi N(x; s, rs)``, since the ``(1 - phi)`` part cancels,
+      where ``N(x; s, p) = x1 + x2 + x3 - u - ||(x1, x3)||_s - ||(x2,
+      x3)||_s + ||(u, x3)||_s``, ``u = ||(x1, x2)||_p``, is the survival
+      nested logistic (Tawn, Biometrika 1990), summed as three bivariate
+      survival logistics (``_nested_sum``).
 
     Any other l (a subclass, or a user-defined l) sums its margins over the
-    subset bitmasks.  Only routes with 2^d - 1 terms cap d at
+    subset bitmasks.  Only routes whose term count grows as 2^d cap d at
     ``MAX_SUBSET_DIM``; Marshall-Olkin l, and mixtures of them, take any d.
 
-    Far from the diagonal the round-off of the largest margin can exceed
-    ``min_j x_j``; the sum is projected into ``[0, min_j x_j]``, where the
-    true value lies.  A sum below -1e-9 ``max(1, sum_j x_j)`` raises.
+    The Marshall-Olkin, logistic and Tawn I routes round at the scale of
+    ``min_j x_j``.  Two still round above it far from the diagonal: Tawn II
+    when x1 or x2 is the smallest coordinate (at the scale of the middle
+    one), and the subset loop at the scale of its largest margin.  The sum
+    is projected into ``[0, min_j x_j]``, where the true value lies.  A sum
+    below -1e-9 ``max(1, sum_j x_j)`` raises.
     """
 
     stdf: StdfModel

@@ -268,6 +268,20 @@ def test_archimax_large_alpha_keeps_unit_product(write_json, capsys):
     assert math.fsum(math.log(v) for v in result["b_star"]) == 0.0
 
 
+def test_search_simplex_above_the_cap_is_usage_error(write_json, capsys):
+    # d (d - 1) = 15,996,000 simplex coordinates at d = 4000: refused before
+    # the search builds its simplex
+    d = 4000
+    alpha = [0.2 + 0.6 * j / (d - 1) for j in range(d)]
+    mo = {"family": "marshall_olkin", "dimension": d, "params": {"alpha": alpha}}
+    spec = {"family": "archimax", "dimension": d, "params": {"stdf": mo, "alpha": 1.5}}
+    path = write_json("arch.json", spec)
+    code, out, err = run(capsys, "mtcm", "--model", path, "--max-evals", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "above the cap of 10000000" in err
+    assert err.count("\n") == 1
+
+
 def test_search_and_sealevel_do_not_import_scipy(write_json):
     tawn = {"family": "tawn2", "dimension": 3, "params": {"s": 1.69, "r": 1.25, "t": 7.44, "phi": 0.74}}
     path = write_json("t2.json", {"family": "survival_evc", "dimension": 3, "params": {"stdf": tawn}})

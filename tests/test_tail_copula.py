@@ -1,7 +1,7 @@
 """Tail copula evaluation: routes, bounds, identities, index calculus."""
 
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -166,6 +166,50 @@ def test_survival_tawn2_far_out_on_its_line():
     for v in (tc.value(x), float(tc.value_batch([x])[0])):
         assert v <= bound
         assert_allclose(v, exact, rtol=1e-8)
+
+
+def _exact_survival_logistic(s, y):
+    """The alternating sum of the logistic margins ``||y_T||_s`` over every
+    nonempty subset T, in 80-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        ps = [Decimal(v) ** Decimal(s) for v in y]
+        inv = 1 / Decimal(s)
+        total = Decimal(0)
+        for mask in range(1, 1 << len(y)):
+            norm = sum(p for j, p in enumerate(ps) if mask >> j & 1) ** inv
+            total += norm if bin(mask).count("1") & 1 else -norm
+        return total
+
+
+def test_survival_logistic_and_tawn1_round_at_the_smallest_coordinate():
+    # far out, the margins reach ~1e11 while the value can be ~1e-11: both
+    # routes must round at the scale of min_j x_j, not of the largest margin
+    rng = np.random.default_rng(61)
+    cases = [
+        (Logistic(1.0 + 1e-7, 2), (6.8e-6, 2.1e10)),
+        (TawnTypeI(s=4.785, r=1.0, theta=(1.0, 1.0, 1.0)), (2.73e-11, 6.97e10, 7.69e9)),
+    ]
+    for i in range(300):
+        d = 2 + i % 4 if i % 5 else 3
+        x = tuple(np.exp(rng.uniform(-25.0, 25.0, d)).tolist())
+        s = float(rng.uniform(1.0 + 1e-7, 20.0))
+        if i % 5:
+            cases.append((Logistic(s, d), x))
+        else:
+            theta = tuple(rng.uniform(0.1, 1.0, 3).tolist())
+            cases.append((TawnTypeI(s=s, r=float(rng.uniform(1.0, 5.0)), theta=theta), x))
+    worst = 0.0
+    for stdf, x in cases:
+        tc = SurvivalEvc(stdf)
+        # Tawn I is the survival logistic at the float point theta * x
+        y = [t * v for t, v in zip(stdf.theta, x)] if isinstance(stdf, TawnTypeI) else x
+        exact = _exact_survival_logistic(stdf.s, y)
+        for got in (tc.value(x), float(tc.value_batch([x])[0])):
+            worst = max(worst, float(abs(Decimal(got) - exact)) / min(x))
+    assert worst <= 1e-14
+    assert_allclose(SurvivalEvc(cases[0][0]).value(cases[0][1]), 2.4933e-11, rtol=1e-4)
+    assert_allclose(SurvivalEvc(cases[1][0]).value(cases[1][1]), 2.73e-11, rtol=1e-4)
 
 
 def test_survival_logistic_sorts_wide_points():
