@@ -42,7 +42,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import EvaluationError, NumericalError, SpecError
 from .stdf import (
     _MAX_POINTS,
-    _row_sum,
+    ROWS,
     Logistic,
     MarshallOlkin,
     Mixture,
@@ -132,13 +132,7 @@ class OptimizerConfig:
         object.__setattr__(self, "tol", float(self.tol))
 
     def to_dict(self) -> dict:
-        return {
-            "starts": self.starts,
-            "seed": self.seed,
-            "max_evals": self.max_evals,
-            "range_log": self.range_log,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -150,13 +144,7 @@ class Diagnostics:
     final_step: float
 
     def to_dict(self) -> dict:
-        return {
-            "starts_used": self.starts_used,
-            "best_start": self.best_start,
-            "function_evals": self.function_evals,
-            "converged": self.converged,
-            "final_step": self.final_step,
-        }
+        return asdict(self)
 
 
 _CLOSED_FORM_DIAG = Diagnostics(
@@ -312,17 +300,19 @@ def _scaled(weight: float, r: MtcmResult) -> MtcmResult:
 def is_exchangeable(stdf: StdfModel) -> bool:
     """Conservative exchangeability detection (used only to pick a route;
     a False here never affects correctness, only speed).  Marshall-Olkin
-    with equal parameters includes the independence and comonotone corners."""
-    if isinstance(stdf, Logistic):
+    with equal parameters includes the independence and comonotone corners.
+    Decided by exact type, since a subclass may change ``_value``."""
+    kind = type(stdf)
+    if kind is Logistic:
         return True
-    if isinstance(stdf, MarshallOlkin):
+    if kind is MarshallOlkin:
         return len(set(stdf.alpha)) == 1
-    if isinstance(stdf, TawnTypeI):
+    if kind is TawnTypeI:
         t1, t2, t3 = stdf.theta
         return t1 == t2 == t3 and (stdf.r == 1.0 or t1 == 1.0)
-    if isinstance(stdf, TawnTypeII):
+    if kind is TawnTypeII:
         return stdf.r == 1.0 and (stdf.phi == 1.0 or stdf.t == 1.0)
-    if isinstance(stdf, Mixture):
+    if kind is Mixture:
         return is_exchangeable(stdf.first) and is_exchangeable(stdf.second)
     return False
 
@@ -760,7 +750,7 @@ def _grid_scan(model: TailCopulaModel, axes: list[np.ndarray]):
         idx = np.arange(lo, min(lo + chunk, total))
         coords = np.unravel_index(idx, sizes)
         cols = [axes[k][coords[k]] for k in range(len(axes))]
-        vals = model.value_batch(np.exp(np.column_stack(cols + [-_row_sum(cols)])))
+        vals = model.value_batch(np.exp(np.column_stack(cols + [-ROWS.sum(cols)])))
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])

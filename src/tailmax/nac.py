@@ -5,7 +5,8 @@ and one leaf per coordinate.  Everything tail-related depends on the tree only
 through these indices and the leaf counts:
 
 * tail copula, by the post-order recursion
-  ``L_v(x) = (sum_w L_w(x_w) ** (-1/alpha_v)) ** (-alpha_v)``;
+  ``L_v(x) = (sum_w L_w(x_w) ** (-1/alpha_v)) ** (-alpha_v)``, at a point
+  and row-wise;
 * its maximum over the unit-product set, both as a child-by-child recursion
   and as a closed-form product over internal descendants;
 * the (unique) maximizing direction, as a product over leaf ancestors.
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import EvaluationError, SpecError
-from .stdf import _row_sum
+from .stdf import POINT, ROWS, _Ops
 
 __all__ = ["NacTree", "NestingReport"]
 
@@ -238,18 +238,6 @@ class NacTree:
     def internal_vertices(self) -> tuple[int, ...]:
         return self._internal
 
-    def alpha(self, v: int) -> float:
-        a = self._alpha[v]
-        if a is None:
-            raise EvaluationError(f"vertex {v} is a leaf and has no alpha")
-        return a
-
-    def children(self, v: int) -> tuple[int, ...]:
-        return self._children[v]
-
-    def parent(self, v: int) -> int | None:
-        return self._parent[v]
-
     def is_leaf(self, v: int) -> bool:
         return not self._children[v]
 
@@ -284,21 +272,7 @@ class NacTree:
         for j, v in enumerate(xs):
             if not (math.isfinite(v) and v > 0.0):
                 raise EvaluationError(f"x[{j}] must be strictly positive and finite, got {v}")
-        rank = {p: i for i, p in enumerate(pos)}
-
-        def rec(v: int) -> float:
-            if not self._children[v]:
-                return xs[rank[self._leaf_pos[v]]]
-            a = self._alpha[v]
-            vals = [rec(c) for c in self._children[v]]
-            mn = min(vals)
-            if mn == 0.0:  # a subtree underflowed; L <= min makes this 0
-                return 0.0
-            inv = -1.0 / a
-            s = sum((u / mn) ** inv for u in vals)
-            return mn * s ** (-a)
-
-        return rec(vertex)
+        return self._tail_copula(xs, vertex, POINT)
 
     def tail_copula_batch(self, X, vertex: int = 0) -> np.ndarray:
         """Row-wise tail copula over an (n, d(vertex)) array of positive points."""
@@ -309,21 +283,27 @@ class NacTree:
             raise EvaluationError(f"expected an (n, {len(pos)}) array, got shape {A.shape}")
         if not np.all(np.isfinite(A)) or np.any(A <= 0.0):
             raise EvaluationError("batch must be strictly positive and finite")
-        rank = {p: i for i, p in enumerate(pos)}
+        return self._tail_copula(A.T, vertex, ROWS)
 
-        def rec(v: int) -> np.ndarray:
-            if not self._children[v]:
-                return A[:, rank[self._leaf_pos[v]]]
-            a = self._alpha[v]
-            vals = [rec(c) for c in self._children[v]]
-            mn = reduce(np.minimum, vals)
-            # a ratio that overflows is inf, whose negative power is the
-            # limit 0; a row whose subtree underflowed to 0 divides by 1
-            # instead, and its 0 ** (-1/a) = inf gives mn * 0 = 0
-            safe = np.where(mn > 0.0, mn, 1.0)
-            with np.errstate(over="ignore", divide="ignore"):
-                s = _row_sum([np.power(u / safe, -1.0 / a) for u in vals])
-            return mn * s ** (-a)
+    def _tail_copula(self, x, vertex: int, ops: _Ops):
+        """The recursion as ``L_v = m (sum_w (m / L_w)^(1/alpha_v))^(-alpha_v)``,
+        m the least ``L_w``: every ratio lies in [0, 1], so no power
+        overflows.  Where a subtree underflowed to 0, m is 0 and each ratio
+        is taken as ``1 / (L_w + 1)``, so the sum is at least 1 and L_v 0."""
+        pos = self._leaves_below[vertex]  # 0..d-1 at the root: x is indexed by position
+        rank = {p: i for i, p in enumerate(pos)} if vertex else pos
+        children, leaf_pos, alpha = self._children, self._leaf_pos, self._alpha
+        least, total = ops.min, ops.sum
+
+        def rec(v: int):
+            if not children[v]:
+                return x[rank[leaf_pos[v]]]
+            a = alpha[v]
+            vals = [rec(c) for c in children[v]]
+            mn = least(vals)
+            g = 1.0 * (mn == 0.0)
+            top, inv = mn + g, 1.0 / a
+            return mn * total((top / (u + g)) ** inv for u in vals) ** (-a)
 
         return rec(vertex)
 

@@ -10,17 +10,19 @@ The two extreme models, independence (``l = sum x``) and comonotonicity
 family on its closed box [0, 1]^d; ``Independence(d)`` and ``Comonotone(d)``
 build them as such.
 
-All models are immutable after construction and expose two evaluation paths:
-``value`` (scalar, pure-Python floats, fast enough to sit inside an optimizer
-loop) and ``value_batch`` (vectorized over an ``(n, d)`` array of points).
+All models are immutable after construction and evaluate one point with
+``value`` and the rows of an ``(n, d)`` array with ``value_batch``.  A family
+writes its formula once, as ``_l(x, ops)``: ``POINT`` runs it on Python floats
+(fast enough to sit inside an optimizer loop), ``ROWS`` on the d columns of
+the array with numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import reduce
-from typing import ClassVar, Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from functools import partial, reduce
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -87,45 +89,60 @@ def _check_dimension(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numerically stable power sums
+# one formula body for a point and for rows
 # ---------------------------------------------------------------------------
 
-def _powsum_root(values: Iterable[float], p: float) -> float:
-    """``(sum_i v_i**p) ** (1/p)`` for v_i >= 0, p >= 1.
+def _ascending_columns(cols) -> list:
+    """The d columns of an (n, d) array with each row sorted in ascending
+    order, by bubble compare-swaps: column passes, which numpy runs far
+    faster than a sort along the short axis 1."""
+    cols = list(cols)
+    for end in range(len(cols) - 1, 0, -1):
+        for j in range(end):
+            a, b = cols[j], cols[j + 1]
+            cols[j], cols[j + 1] = np.minimum(a, b), np.maximum(a, b)
+    return cols
 
-    The maximum is factored out so that large exponents neither overflow nor
-    lose the dominant term; each ratio (v/m)**p lies in [0, 1].
+
+@dataclass(frozen=True)
+class _Ops:
+    """The primitives a formula body applies to its ``x``: one point (a
+    sequence of floats) under ``POINT``, or the d columns of an (n, d) array
+    (``X.T``) under ``ROWS``."""
+
+    min: Callable  # of an iterable of values or columns
+    max: Callable
+    lo: Callable  # the smaller of two values or columns
+    hi: Callable
+    sum: Callable  # in order
+    fsum: Callable  # of the survival logistic's paired terms
+    sort: Callable  # ascending, as a list
+    expm1: Callable
+    log1p: Callable
+    rowwise: Callable  # ``rowwise(f, x)``: f applied to x as an (n, d) array
+
+
+POINT = _Ops(
+    min, max, min, max, sum, math.fsum, sorted, math.expm1, math.log1p,
+    lambda f, x: float(f(np.array([x]))[0]),
+)
+ROWS = _Ops(
+    partial(reduce, np.minimum), partial(reduce, np.maximum), np.minimum, np.maximum,
+    partial(reduce, np.add), partial(reduce, np.add), _ascending_columns, np.expm1, np.log1p,
+    lambda f, x: f(x.T),
+)
+
+
+def _powsum_root(x, p: float, ops: _Ops):
+    """``(sum_j x_j**p) ** (1/p)`` for x_j >= 0, p >= 1.
+
+    The maximum m is factored out so that large exponents neither overflow
+    nor lose the dominant term; each ratio (x_j/m)**p lies in [0, 1].  m is
+    0 only where every x_j is, and is divided as 1 there.
     """
-    vs = list(values)
-    m = max(vs)
-    if m == 0.0:
-        return 0.0
-    return m * sum((v / m) ** p for v in vs) ** (1.0 / p)
-
-
-def _powsum_root_np(cols, p: float) -> np.ndarray:
-    """Row-wise ``(sum_j v_j**p) ** (1/p)`` over a sequence of columns
-    ``v_j`` (``X.T`` for an (n, d) array), with the max factored out."""
-    m = reduce(np.maximum, cols)
-    safe = np.where(m > 0.0, m, 1.0)
-    r = _row_sum([np.power(v / safe, p) for v in cols]) ** (1.0 / p)
-    return np.where(m > 0.0, m * r, 0.0)
-
-
-def _row_min(X: np.ndarray) -> np.ndarray:
-    """Row-wise minimum of an (n, d) array by d - 1 column passes, which
-    numpy runs far faster than a reduction along the short axis 1."""
-    return reduce(np.minimum, X.T)
-
-
-def _row_sum(cols) -> np.ndarray:
-    """Row-wise sum of a sequence of columns, bitwise equal to numpy's
-    ``sum(axis=1)`` over the stacked (n, k) array.  numpy adds fewer than 8
-    entries in order, which k - 1 column passes reproduce several times
-    faster; from 8 on it sums pairwise, so the columns are stacked."""
-    if len(cols) < 8:
-        return reduce(np.add, cols)
-    return np.column_stack(cols).sum(axis=1)
+    m = ops.max(x)
+    g = m + (m == 0.0)
+    return m * ops.sum((v / g) ** p for v in x) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +151,9 @@ def _row_sum(cols) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StdfModel:
-    """Base class; concrete families implement ``_value``/``_value_batch``."""
+    """Base class; a concrete family implements ``_l(x, ops)``, which
+    ``_value`` runs at a point and ``_value_batch`` on rows, or overrides
+    those two."""
 
     family: ClassVar[str] = ""
 
@@ -142,11 +161,14 @@ class StdfModel:
     def dim(self) -> int:
         raise NotImplementedError
 
-    def _value(self, xs: list[float]) -> float:
+    def _l(self, x, ops: _Ops):
         raise NotImplementedError
 
+    def _value(self, xs: list[float]) -> float:
+        return self._l(xs, POINT)
+
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._l(X.T, ROWS)
 
     def value(self, x: Sequence[float]) -> float:
         """Evaluate l(x) for a nonnegative point x."""
@@ -200,11 +222,8 @@ class Logistic(StdfModel):
     def dim(self) -> int:
         return self.dimension
 
-    def _value(self, xs: list[float]) -> float:
-        return _powsum_root(xs, self.s)
-
-    def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        return _powsum_root_np(X.T, self.s)
+    def _l(self, x, ops: _Ops):
+        return _powsum_root(x, self.s, ops)
 
     def params(self) -> dict:
         return {"s": self.s}
@@ -292,7 +311,7 @@ class TawnTypeI(StdfModel):
                      + ( (t1 w1)**s + (t2 w2)**s + (t3 w3)**s ) ** (1/s) ]
 
     for s, r >= 1 and t_j in [0, 1].  Each term is 1-homogeneous, so with
-    ``||.||_p`` the p-norm both paths evaluate ``l(x) = (1-t3) x3 + ||((1-t1)
+    ``||.||_p`` the p-norm ``_l`` evaluates ``l(x) = (1-t3) x3 + ||((1-t1)
     x1, (1-t2) x2)||_r + ||(t1 x1, t2 x2, t3 x3)||_s``.  t1 = t2 = t3 = 1
     collapses to the symmetric logistic family with exponent s.
     """
@@ -318,19 +337,11 @@ class TawnTypeI(StdfModel):
     def dim(self) -> int:
         return 3
 
-    def _l(self, x, norm):
-        """l at a point or over columns ``x``; ``norm(values, p)`` is the
-        p-norm of floats or row-wise of columns."""
+    def _l(self, x, ops: _Ops):
         x1, x2, x3 = x
         t1, t2, t3 = self.theta
-        return ((1.0 - t3) * x3 + norm(((1.0 - t1) * x1, (1.0 - t2) * x2), self.r)
-                + norm((t1 * x1, t2 * x2, t3 * x3), self.s))
-
-    def _value(self, xs: list[float]) -> float:
-        return self._l(xs, _powsum_root)
-
-    def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self._l(X.T, _powsum_root_np)
+        return ((1.0 - t3) * x3 + _powsum_root(((1.0 - t1) * x1, (1.0 - t2) * x2), self.r, ops)
+                + _powsum_root((t1 * x1, t2 * x2, t3 * x3), self.s, ops))
 
     def params(self) -> dict:
         return {"s": self.s, "r": self.r, "theta": list(self.theta)}
@@ -346,7 +357,7 @@ class TawnTypeII(StdfModel):
                      + (1-phi) * ( (w1**t + w2**t) ** (1/t) + w3 ) ]
 
     for s, r, t >= 1 and phi in [0, 1].  As ``(w1**(r*s) + w2**(r*s)) **
-    (1/r) = ||(w1, w2)||_(rs) ** s``, both paths evaluate ``l(x) = phi
+    (1/r) = ||(w1, w2)||_(rs) ** s``, ``_l`` evaluates ``l(x) = phi
     ||(||(x1, x2)||_(rs), x3)||_s + (1-phi) (||(x1, x2)||_t + x3)``.
     """
 
@@ -369,16 +380,11 @@ class TawnTypeII(StdfModel):
     def dim(self) -> int:
         return 3
 
-    def _l(self, x, norm):
+    def _l(self, x, ops: _Ops):
         x1, x2, x3 = x
-        u = norm((x1, x2), self.r * self.s)
-        return self.phi * norm((u, x3), self.s) + (1.0 - self.phi) * (norm((x1, x2), self.t) + x3)
-
-    def _value(self, xs: list[float]) -> float:
-        return self._l(xs, _powsum_root)
-
-    def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self._l(X.T, _powsum_root_np)
+        u = _powsum_root((x1, x2), self.r * self.s, ops)
+        return (self.phi * _powsum_root((u, x3), self.s, ops)
+                + (1.0 - self.phi) * (_powsum_root((x1, x2), self.t, ops) + x3))
 
     def params(self) -> dict:
         return {"s": self.s, "r": self.r, "t": self.t, "phi": self.phi}
@@ -436,16 +442,7 @@ class StdfValidationReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "dimension": self.dimension,
-            "samples": self.samples,
-            "passed": self.passed,
-            "max_lower_violation": self.max_lower_violation,
-            "max_upper_violation": self.max_upper_violation,
-            "max_homogeneity_violation": self.max_homogeneity_violation,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def validate_stdf(

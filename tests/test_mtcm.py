@@ -119,6 +119,24 @@ def test_is_exchangeable_detection():
     assert not is_exchangeable(TawnTypeII(s=2.0, r=1.3, t=3.0, phi=1.0))
 
 
+def test_subclass_is_not_taken_as_exchangeable():
+    # a subclass may change _value: this logistic is half a skewed MO model
+    skew = MarshallOlkin((0.9, 0.2, 0.5))
+
+    class Skewed(Logistic):
+        def _value(self, xs):
+            return 0.5 * super()._value(xs) + 0.5 * skew._value(xs)
+
+    stdf = Skewed(2.0, 3)
+    assert not is_exchangeable(stdf)
+    assert not is_exchangeable(Mixture(0.5, Logistic(2.0, 3), stdf))
+    r = dispatch(Archimax(stdf, 1.0))
+    assert r.method == "optimizer"
+    best = optimize(Archimax(stdf, 1.0), OptimizerConfig(starts=32))
+    assert_allclose(r.lambda_star, best.lambda_star, rtol=1e-9)
+    assert_allclose(r.lambda_star, 0.50019, rtol=1e-5)
+
+
 def test_archimax_asymmetric_route_vs_oracle():
     model = Archimax(MarshallOlkin((0.2, 0.5, 0.8)), alpha=1.0)
     r = archimax_mtcm(model.stdf, model.alpha, config=FAST)

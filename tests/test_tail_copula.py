@@ -285,6 +285,9 @@ def test_zero_coordinate_gives_zero(model):
 def test_batch_matches_scalar(model):
     rng = np.random.default_rng(59)
     X = np.exp(rng.uniform(-2.0, 2.0, size=(50, model.dim)))
+    # rows with an entry above 2^960 are rescaled, as points are
+    huge = [np.resize([1e308, 1.5e308, 1.7e308], model.dim), np.resize([1.7e308, 3e299, 1e303], model.dim)]
+    X = np.vstack([X] + huge)
     vals = model.value_batch(X)
     for row, expected in zip(X, vals):
         assert_allclose(model.value(row), expected, rtol=1e-12, atol=1e-300)
