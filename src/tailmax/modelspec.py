@@ -129,6 +129,19 @@ def _wrap(path: str, builder):
         raise _fail(path, str(e)) from e
 
 
+def _parse_mixture(spec: Mapping, params: Mapping, path: str, parse, cls):
+    """A ``mixture`` or ``mixture_tc`` spec: ``parse`` reads both components
+    and ``cls`` combines them."""
+    comps = params.get("components")
+    if not isinstance(comps, (list, tuple)) or len(comps) != 2:
+        raise _fail(f"{path}.params.components", "expected a list of exactly 2 specs")
+    first = parse(comps[0], f"{path}.params.components[0]")
+    second = parse(comps[1], f"{path}.params.components[1]")
+    model = _wrap(path, lambda: cls(_num(params, "weight", path), first, second))
+    _check_spec_dim(model.dim, spec, path)
+    return model
+
+
 def parse_stdf(spec, path: str = "model") -> StdfModel:
     spec = _get_mapping(spec, path)
     fam = _get_family(spec, path)
@@ -167,14 +180,7 @@ def parse_stdf(spec, path: str = "model") -> StdfModel:
         _check_spec_dim(3, spec, path)
         return model
     if fam == "mixture":
-        comps = params.get("components")
-        if not isinstance(comps, (list, tuple)) or len(comps) != 2:
-            raise _fail(f"{path}.params.components", "expected a list of exactly 2 specs")
-        first = parse_stdf(comps[0], f"{path}.params.components[0]")
-        second = parse_stdf(comps[1], f"{path}.params.components[1]")
-        model = _wrap(path, lambda: Mixture(_num(params, "weight", path), first, second))
-        _check_spec_dim(model.dim, spec, path)
-        return model
+        return _parse_mixture(spec, params, path, parse_stdf, Mixture)
     raise _fail(f"{path}.family", f"unknown stable-tail-dependence family {fam!r}")
 
 
@@ -226,52 +232,25 @@ def parse_tail_copula(spec, path: str = "model") -> TailCopulaModel:
         _check_spec_dim(model.dim, spec, path)
         return model
     if fam == "mixture_tc":
-        comps = params.get("components")
-        if not isinstance(comps, (list, tuple)) or len(comps) != 2:
-            raise _fail(f"{path}.params.components", "expected a list of exactly 2 specs")
-        first = parse_tail_copula(comps[0], f"{path}.params.components[0]")
-        second = parse_tail_copula(comps[1], f"{path}.params.components[1]")
-        model = _wrap(path, lambda: MixtureTail(_num(params, "weight", path), first, second))
-        _check_spec_dim(model.dim, spec, path)
-        return model
+        return _parse_mixture(spec, params, path, parse_tail_copula, MixtureTail)
     raise _fail(f"{path}.family", f"unknown tail-copula family {fam!r}")
 
 
 def to_spec(model) -> dict:
     """Serialize a model to its JSON spec; ``parse_*`` inverts this exactly."""
-    if isinstance(model, StdfModel):
-        spec = {"family": model.family, "dimension": model.dim, "params": model.params()}
-        if isinstance(model, Mixture):
-            spec["params"] = {
-                "weight": model.weight,
-                "components": [to_spec(model.first), to_spec(model.second)],
-            }
-        return spec
-    if isinstance(model, SurvivalEvc):
-        return {
-            "family": model.family,
-            "dimension": model.dim,
-            "params": {"stdf": to_spec(model.stdf)},
+    if isinstance(model, (Mixture, MixtureTail)):
+        params = {
+            "weight": model.weight,
+            "components": [to_spec(model.first), to_spec(model.second)],
         }
-    if isinstance(model, Archimax):
-        return {
-            "family": model.family,
-            "dimension": model.dim,
-            "params": {"stdf": to_spec(model.stdf), "alpha": model.alpha},
-        }
-    if isinstance(model, NacCopula):
-        return {
-            "family": model.family,
-            "dimension": model.dim,
-            "params": {"tree": model.tree.to_dict()},
-        }
-    if isinstance(model, MixtureTail):
-        return {
-            "family": model.family,
-            "dimension": model.dim,
-            "params": {
-                "weight": model.weight,
-                "components": [to_spec(model.first), to_spec(model.second)],
-            },
-        }
-    raise SpecError(f"cannot serialize {type(model).__name__}")
+    elif isinstance(model, StdfModel):
+        params = model.params()
+    elif isinstance(model, SurvivalEvc):
+        params = {"stdf": to_spec(model.stdf)}
+    elif isinstance(model, Archimax):
+        params = {"stdf": to_spec(model.stdf), "alpha": model.alpha}
+    elif isinstance(model, NacCopula):
+        params = {"tree": model.tree.to_dict()}
+    else:
+        raise SpecError(f"cannot serialize {type(model).__name__}")
+    return {"family": model.family, "dimension": model.dim, "params": params}

@@ -20,7 +20,7 @@ the array with numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial, reduce
 from typing import Callable, ClassVar, Iterable, Sequence
 
@@ -233,14 +233,13 @@ class Logistic(StdfModel):
 class MarshallOlkin(StdfModel):
     """Common-shock family ``l(x) = sum_j (1-a_j) x_j + max_j a_j x_j``.
 
-    Parameters a_j live in the open box (0, 1)^d; ``with_boundary`` admits
-    the closed box [0, 1]^d.  Its two corners are the extreme models, built
-    by ``Independence`` (a = 0, ``l = sum x``) and ``Comonotone`` (a = 1,
-    ``l = max x``); a corner reports that family, with no parameters.
+    Parameters a_j live in the closed box [0, 1]^d.  Its two corners are the
+    extreme models, built by ``Independence`` (a = 0, ``l = sum x``) and
+    ``Comonotone`` (a = 1, ``l = max x``); a corner reports that family, with
+    no parameters.
     """
 
     alpha: tuple[float, ...]
-    _allow_boundary: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = tuple(float(v) for v in self.alpha)
@@ -248,15 +247,7 @@ class MarshallOlkin(StdfModel):
         _check_param(len(a) >= 2, "alpha must have length >= 2")
         for j, v in enumerate(a):
             _check_param(math.isfinite(v), f"alpha[{j}] is not finite")
-            if self._allow_boundary:
-                _check_param(0.0 <= v <= 1.0, f"alpha[{j}]={v} outside [0, 1]")
-            else:
-                _check_param(0.0 < v < 1.0, f"alpha[{j}]={v} outside the open interval (0, 1)")
-
-    @classmethod
-    def with_boundary(cls, alpha: Sequence[float]) -> "MarshallOlkin":
-        """Construct with parameters allowed on the closed box [0, 1]^d."""
-        return cls(tuple(alpha), _allow_boundary=True)
+            _check_param(0.0 <= v <= 1.0, f"alpha[{j}]={v} outside [0, 1]")
 
     @property
     def family(self) -> str:
@@ -292,12 +283,12 @@ class MarshallOlkin(StdfModel):
 
 def Independence(dimension: int) -> MarshallOlkin:
     """``l(x) = sum_j x_j``, the Marshall-Olkin corner a = 0."""
-    return MarshallOlkin.with_boundary((0.0,) * _check_dimension(dimension))
+    return MarshallOlkin((0.0,) * _check_dimension(dimension))
 
 
 def Comonotone(dimension: int) -> MarshallOlkin:
     """``l(x) = max_j x_j``, the smallest l: the Marshall-Olkin corner a = 1."""
-    return MarshallOlkin.with_boundary((1.0,) * _check_dimension(dimension))
+    return MarshallOlkin((1.0,) * _check_dimension(dimension))
 
 
 @dataclass(frozen=True)
@@ -391,18 +382,28 @@ class TawnTypeII(StdfModel):
 
 
 @dataclass(frozen=True)
-class Mixture(StdfModel):
-    """Convex combination ``l = w l_1 + (1-w) l_2`` of two same-dimension models."""
+class _ConvexMixture:
+    """Convex combination ``w f_1 + (1-w) f_2`` of two same-dimension models
+    of one layer, ``_layer``: the body of ``Mixture`` (of l) and of
+    ``tail_copula.MixtureTail`` (of L).  Each component is evaluated through
+    its own ``_value``/``_value_batch``."""
 
     weight: float
-    first: StdfModel
-    second: StdfModel
+    first: object
+    second: object
 
-    family: ClassVar[str] = "mixture"
+    _layer: ClassVar[type]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weight", float(self.weight))
         _check_param(0.0 <= self.weight <= 1.0, "mixture weight must be in [0, 1]")
+        for name in ("first", "second"):
+            part = getattr(self, name)
+            _check_param(
+                isinstance(part, self._layer),
+                f"mixture component {name} must be a {self._layer.__name__}, "
+                f"got {type(part).__name__}",
+            )
         _check_param(
             self.first.dim == self.second.dim,
             f"mixture components disagree in dimension: {self.first.dim} vs {self.second.dim}",
@@ -419,6 +420,14 @@ class Mixture(StdfModel):
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
         w = self.weight
         return w * self.first._value_batch(X) + (1.0 - w) * self.second._value_batch(X)
+
+
+@dataclass(frozen=True)
+class Mixture(_ConvexMixture, StdfModel):
+    """Convex combination ``l = w l_1 + (1-w) l_2`` of two same-dimension models."""
+
+    family: ClassVar[str] = "mixture"
+    _layer: ClassVar[type] = StdfModel
 
     def params(self) -> dict:
         return {"weight": self.weight}

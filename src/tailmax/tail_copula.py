@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NumericalError, SpecError
 from .nac import NacTree
 from .stdf import Logistic, MarshallOlkin, Mixture, StdfModel, TawnTypeI, TawnTypeII
-from .stdf import POINT, ROWS, _as_batch, _as_point, _check_param, _Ops, _powsum_root
+from .stdf import POINT, ROWS, _as_batch, _as_point, _check_param, _ConvexMixture, _Ops, _powsum_root
 
 __all__ = [
     "TailCopulaModel",
@@ -376,7 +376,8 @@ class Archimax(TailCopulaModel):
 
 @dataclass(frozen=True)
 class NacCopula(TailCopulaModel):
-    """Nested Archimedean tree model; evaluation delegates to the tree."""
+    """Nested Archimedean tree model; evaluation runs the tree's recursion on
+    the point that ``value``/``value_batch`` have checked."""
 
     tree: NacTree
 
@@ -390,41 +391,18 @@ class NacCopula(TailCopulaModel):
         return self.tree.dim
 
     def _value(self, xs: list[float]) -> float:
-        return self.tree.tail_copula(xs)
+        return self.tree._tail_copula(xs, 0, POINT)
 
     def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.tree.tail_copula_batch(X)
+        return self.tree._tail_copula(X.T, 0, ROWS)
 
 
 @dataclass(frozen=True)
-class MixtureTail(TailCopulaModel):
+class MixtureTail(_ConvexMixture, TailCopulaModel):
     """Convex combination ``L = w L_1 + (1-w) L_2`` of two tail copulas."""
 
-    weight: float
-    first: TailCopulaModel
-    second: TailCopulaModel
-
     family: ClassVar[str] = "mixture_tc"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weight", float(self.weight))
-        _check_param(0.0 <= self.weight <= 1.0, "mixture weight must be in [0, 1]")
-        _check_param(
-            self.first.dim == self.second.dim,
-            f"mixture components disagree in dimension: {self.first.dim} vs {self.second.dim}",
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.first.dim
-
-    def _value(self, xs: list[float]) -> float:
-        w = self.weight
-        return w * self.first._value(xs) + (1.0 - w) * self.second._value(xs)
-
-    def _value_batch(self, X: np.ndarray) -> np.ndarray:
-        w = self.weight
-        return w * self.first._value_batch(X) + (1.0 - w) * self.second._value_batch(X)
+    _layer: ClassVar[type] = TailCopulaModel
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tailmax import parse_tail_copula, to_spec
+from tailmax import (
+    Archimax,
+    Comonotone,
+    Logistic,
+    MarshallOlkin,
+    Mixture,
+    MixtureTail,
+    NacCopula,
+    NacTree,
+    SpecError,
+    SurvivalEvc,
+    TawnTypeI,
+    parse_stdf,
+    parse_tail_copula,
+    to_spec,
+)
 from tailmax.modelspec import STDF_FAMILIES
 from tailmax.cli import main
 from tailmax.sealevel import LABELS
@@ -765,3 +780,37 @@ def test_round_trip_of_emitted_model_specs(write_json, capsys):
         emitted = json.loads(out)["model"]
         assert parse_tail_copula(emitted) == parse_tail_copula(spec)
         assert to_spec(parse_tail_copula(emitted)) == emitted
+
+
+def test_round_trip_of_models_through_their_specs(write_json, capsys):
+    mo = MarshallOlkin((0.0, 0.5, 1.0))
+    nac = NacCopula(NacTree.from_dict(NESTED_TREE))
+    stdfs = [
+        MarshallOlkin((0.0, 0.0, 0.0)),
+        MarshallOlkin((1.0, 1.0, 1.0, 1.0)),
+        Mixture(0.3, TawnTypeI(s=2.5, r=1.5, theta=(0.2, 0.7, 1.0)), mo),
+        Mixture(0.6, Mixture(0.2, Logistic(2.0, 3), mo), Comonotone(3)),
+    ]
+    tails = [
+        SurvivalEvc(mo),
+        MixtureTail(0.4, Archimax(Logistic(2.0, 3), 0.7), nac),
+        MixtureTail(0.5, MixtureTail(0.25, nac, SurvivalEvc(mo)), SurvivalEvc(stdfs[2])),
+    ]
+    for parse, models in ((parse_stdf, stdfs), (parse_tail_copula, tails)):
+        for m in models:
+            spec = json.loads(json.dumps(to_spec(m)))
+            assert parse(spec) == m
+            assert to_spec(parse(spec)) == spec
+    # a corner of the closed box echoes as its own family
+    assert to_spec(stdfs[0])["family"] == "independence"
+    assert to_spec(stdfs[1])["family"] == "comonotone"
+    # a marshall_olkin spec on the boundary of the box is accepted
+    spec = {"family": "marshall_olkin", "dimension": 3, "params": {"alpha": [0, 0.5, 1]}}
+    code, out, _ = run(capsys, "mtcm", "--model", write_json("mo.json", spec), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["model"] == to_spec(SurvivalEvc(mo))
+    # a component of the other layer would evaluate l as L, or L as l
+    with pytest.raises(SpecError, match="component second must be a StdfModel"):
+        Mixture(0.5, mo, SurvivalEvc(mo))
+    with pytest.raises(SpecError, match="component first must be a TailCopulaModel"):
+        MixtureTail(0.5, mo, SurvivalEvc(mo))

@@ -184,6 +184,22 @@ def test_archimax_single_start_matches_direct_search(stdf, alpha):
     assert abs(Archimax(stdf, alpha).value(r.b_star) - r.lambda_star) <= 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason="one diagonal start stops short of the maximum at d = 5")
+def test_archimax_single_start_reaches_the_multi_start_maximum_at_d5():
+    # one of 200 seeded Archimax models over a logistic/MO mixture (d = 3..6,
+    # default_rng(3)) on which the single diagonal start reports convergence
+    # about 2.9e-5 below what 32 random starts find
+    stdf = Mixture(
+        0.35070199188732215,
+        Logistic(1.7967577683894493, 5),
+        MarshallOlkin((0.4957081873545996, 0.7096762467137221, 0.7791388525024254,
+                       0.6248868624123451, 0.3282123316583289)),
+    )
+    model = Archimax(stdf, 1.3174740221870063)
+    best = optimize(model, OptimizerConfig(starts=32)).lambda_star
+    assert dispatch(model).lambda_star >= best - 1e-9
+
+
 def test_archimax_large_alpha_keeps_unit_product():
     # b* = b_h ** alpha multiplies the round-off in prod b_h = 1 by alpha
     r = archimax_mtcm(MarshallOlkin((0.5, 0.5, 0.5000001)), 1e9)
@@ -200,7 +216,7 @@ def test_archimax_large_alpha_keeps_unit_product():
 # ---------------------------------------------------------------------------
 
 def _mo_mixture(w, a, c):
-    return SurvivalEvc(Mixture(w, MarshallOlkin.with_boundary(a), MarshallOlkin.with_boundary(c)))
+    return SurvivalEvc(Mixture(w, MarshallOlkin(a), MarshallOlkin(c)))
 
 
 def _mo_mixture_cases():
@@ -435,7 +451,7 @@ def test_survival_tawn2_oracle_stays_below_line_search_far_out():
 
 
 def _logistic_mo(w, s, a, mo_first=False):
-    logistic, mo = Logistic(s, len(a)), MarshallOlkin.with_boundary(a)
+    logistic, mo = Logistic(s, len(a)), MarshallOlkin(a)
     if mo_first:
         return SurvivalEvc(Mixture(1.0 - w, mo, logistic))
     return SurvivalEvc(Mixture(w, logistic, mo))
@@ -778,7 +794,7 @@ def test_dispatch_routes_tawn_to_optimizer():
 
 
 def test_dispatch_boundary_mo_uses_closed_form():
-    stdf = MarshallOlkin.with_boundary((1.0, 1.0, 1.0))
+    stdf = MarshallOlkin((1.0, 1.0, 1.0))
     r = dispatch(SurvivalEvc(stdf), FAST)
     assert r.method == "closed_mo"
     assert r.lambda_star == 1.0

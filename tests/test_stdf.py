@@ -47,8 +47,8 @@ ALL_FAMILIES = [
         lambda: Independence(1),
         lambda: Logistic(0.99, 3),
         lambda: Logistic(float("nan"), 3),
-        lambda: MarshallOlkin((0.2, 1.0)),
-        lambda: MarshallOlkin((0.0, 0.5)),
+        lambda: MarshallOlkin((0.2, 1.0 + 1e-12)),
+        lambda: MarshallOlkin((-1e-12, 0.5)),
         lambda: MarshallOlkin((0.5,)),
         lambda: TawnTypeI(s=0.5, r=1.0, theta=(1, 1, 1)),
         lambda: TawnTypeI(s=2.0, r=1.0, theta=(1, 1, 1.2)),
@@ -64,10 +64,10 @@ def test_invalid_parameters_rejected(build):
 
 
 def test_marshall_olkin_boundary_constructor():
-    m = MarshallOlkin.with_boundary((1.0, 1.0, 1.0))
+    m = MarshallOlkin((1.0, 1.0, 1.0))
     assert m.value([2.0, 3.0, 5.0]) == 5.0  # reduces to the max
     with pytest.raises(SpecError):
-        MarshallOlkin.with_boundary((1.1, 0.5))
+        MarshallOlkin((1.1, 0.5))
 
 
 def test_corners_are_marshall_olkin():
@@ -76,11 +76,11 @@ def test_corners_are_marshall_olkin():
     for build, a, family in ((Independence, 0.0, "independence"), (Comonotone, 1.0, "comonotone")):
         m = build(4)
         assert type(m) is MarshallOlkin
-        assert m == MarshallOlkin.with_boundary((a,) * 4)
+        assert m == MarshallOlkin((a,) * 4)
         assert m.family == family and m.params() == {}
         assert to_spec(m) == {"family": family, "dimension": 4, "params": {}}
     # any other point of the closed box is Marshall-Olkin
-    m = MarshallOlkin.with_boundary((0.0, 1.0))
+    m = MarshallOlkin((0.0, 1.0))
     assert m.family == "marshall_olkin" and m.params() == {"alpha": [0.0, 1.0]}
     with pytest.raises(SpecError, match="^dimension must be >= 2$"):
         Comonotone(1)

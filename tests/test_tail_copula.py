@@ -100,8 +100,8 @@ def test_survival_mo_equals_min_closed_form():
         TawnTypeII(s=1.69, r=1.25, t=7.44, phi=0.74),
         Mixture(0.5, Logistic(3.0, 4), MarshallOlkin((0.4, 0.2, 0.9, 0.6))),
         *(Logistic(s, d) for d in (5, 6, 8) for s in (1.0, 200.0)),
-        MarshallOlkin.with_boundary((0.0, 1.0, 0.5, 1.0)),
-        MarshallOlkin.with_boundary((1.0, 1.0, 1.0)),
+        MarshallOlkin((0.0, 1.0, 0.5, 1.0)),
+        MarshallOlkin((1.0, 1.0, 1.0)),
         Mixture(
             0.3,
             Mixture(0.6, MarshallOlkin((0.2, 0.5, 0.8)), Logistic(2.5, 3)),
@@ -329,7 +329,7 @@ def test_survival_flags_inconsistent_margins():
             full = np.all(X > 0.0, axis=1)
             return np.where(full, 2.0, 1.0) * super()._value_batch(X)
 
-    tc = SurvivalEvc(Inconsistent.with_boundary((0.0, 0.0)))
+    tc = SurvivalEvc(Inconsistent((0.0, 0.0)))
     from tailmax import NumericalError
 
     with pytest.raises(NumericalError):
