@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_optimizer_flags(p)
     _add_common(p)
 
-    p = sub.add_parser("oracle", help="brute-force grid verification of the maximum")
+    p = sub.add_parser("oracle", help="grid-lattice verification of the maximum")
     p.add_argument("--model", required=True, metavar="FILE", help="model spec JSON")
     p.add_argument("--grid-n", type=int, dest="grid_n", default=201, help="points per axis")
     p.add_argument(

@@ -463,14 +463,17 @@ def validate_stdf(
 ) -> StdfValidationReport:
     """Check ``max <= l <= sum`` and 1-homogeneity on random points.
 
-    Points are drawn log-uniformly over [e^-3, e^3]^d, at most 10^7 of them.
+    Points are drawn log-uniformly over [e^-3, e^3]^d, at most 10^7
+    coordinates in all (``samples * d``), checked before anything is allocated.
     Violations are normalized by max(1, scale) so the report is scale-free;
     the check passes when every violation is within ``tol``.
     """
     if samples < 1:
         raise EvaluationError("samples must be >= 1")
-    if samples > _MAX_POINTS:
-        raise EvaluationError(f"{samples} samples exceed the cap of {_MAX_POINTS}")
+    if int(samples) * model.dim > _MAX_POINTS:
+        raise EvaluationError(
+            f"{samples} samples of dimension {model.dim} exceed the cap of {_MAX_POINTS} coordinates"
+        )
     rng = np.random.default_rng(seed)
     X = np.exp(rng.uniform(-3.0, 3.0, size=(int(samples), model.dim)))
     vals = model.value_batch(X)

@@ -712,6 +712,19 @@ def test_oversized_lattice_is_usage_error(write_json, capsys, argv, fragment):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dimension, samples", [(10 ** 7, 10 ** 7), (10 ** 4 + 1, None)])
+def test_validate_caps_samples_times_dimension(write_json, capsys, dimension, samples):
+    # 10^7 samples of a 10^7-dimensional model would be 800 TB of points
+    spec = {"family": "logistic", "dimension": dimension, "params": {"s": 2.0}}
+    argv = ["validate", "--model", write_json("wide.json", spec)]
+    if samples is not None:
+        argv += ["--samples", str(samples)]  # else the default 1000
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "exceed the cap of 10000000" in err
+    assert err.count("\n") == 1
+
+
 def test_unknown_family_is_usage_error(write_json, capsys):
     path = write_json("weird.json", {"family": "frankenstein", "dimension": 2})
     code, _, err = run(capsys, "mtcm", "--model", path)

@@ -36,7 +36,7 @@ from tailmax import (
 
 from tailmax.mtcm import _nelder_mead, _pruned_objective
 
-from _support import mo_mtcm
+from _support import full_grid_oracle, mo_mtcm
 
 # independently computed: (0.2 * 0.5 * 0.8) ** (1/3) and lam / alpha_j
 MO_LAMBDA = 0.43088693800637674
@@ -753,6 +753,71 @@ def test_oracle_refinement_beats_coarse_grid():
     fine = grid_oracle(model, 401, math.log(50.0))
     assert coarse.lambda_star <= fine.lambda_star + 1e-12
     assert abs(fine.lambda_star - MO_LAMBDA) <= 1e-3
+
+
+def _oracle_models(d):
+    """A model of each family the oracle serves at dimension d (Tawn at d = 3),
+    and survival independence, where no lattice point can be skipped."""
+    rng = np.random.default_rng(d)
+
+    def mo():
+        return MarshallOlkin(tuple(float(a) for a in rng.uniform(0.2, 0.8, d)))
+
+    def logistic():
+        return Logistic(float(rng.uniform(1.5, 2.5)), d)
+
+    def logistic_mo():
+        return Mixture(float(rng.uniform(0.3, 0.7)), logistic(), mo())
+
+    leaves = [{"leaf": j} for j in range(1, d + 1)]
+    tree = {"alpha": 1.5, "children": leaves if d == 2 else
+            [leaves[0], {"alpha": 0.8, "children": leaves[1:]}]}
+    nac = NacCopula(NacTree.from_dict(tree))
+    models = [
+        SurvivalEvc(mo()),
+        SurvivalEvc(logistic()),
+        SurvivalEvc(logistic_mo()),
+        Archimax(mo(), 0.7),
+        Archimax(logistic_mo(), 1.6),
+        nac,
+        MixtureTail(0.4, nac, SurvivalEvc(logistic())),
+        SurvivalEvc(Independence(d)),
+    ]
+    if d == 3:
+        models += [
+            SurvivalEvc(TawnTypeI(s=2.0, r=1.5, theta=(0.3, 0.6, 0.8))),
+            SurvivalEvc(TawnTypeII(s=1.8, r=1.5, t=2.0, phi=0.6)),
+        ]
+    return models
+
+
+@pytest.mark.parametrize("d, grid_n, log_range", [
+    (2, 201, math.log(50.0)), (2, 200, 3.0),
+    (3, 61, math.log(50.0)), (3, 60, math.log(10.0)), (3, 31, 1e-3), (3, 13, 300.0), (3, 14, 300.0),
+    (4, 21, math.log(10.0)), (4, 20, 2.0),
+])
+def test_oracle_matches_the_full_lattice_scan_bit_for_bit(d, grid_n, log_range):
+    for model in _oracle_models(d):
+        assert grid_oracle(model, grid_n, log_range).to_dict() == full_grid_oracle(model, grid_n, log_range)
+
+
+def test_oracle_evaluates_only_points_the_min_bound_leaves_open():
+    rows = []
+
+    class Counting(SurvivalEvc):
+        def _value_batch(self, X):
+            rows.append(len(X))
+            return super()._value_batch(X)
+
+    covered = 201 ** 2 + 21 ** 2  # both stages of the default lattice at d = 3
+    r = grid_oracle(Counting(Logistic(2.0, 3)), 201)
+    assert r.diagnostics.function_evals == covered
+    assert sum(rows) < 0.1 * covered
+    # L = 0 everywhere: no point lies below the floor, so all are evaluated
+    rows.clear()
+    r = grid_oracle(Counting(Independence(3)), 201)
+    assert (r.lambda_star, r.diagnostics.function_evals) == (0.0, covered)
+    assert sum(rows) >= covered
 
 
 def test_oracle_rejects_bad_requests():
