@@ -860,8 +860,9 @@ def grid_oracle(
 def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> MtcmResult:
     """Route to the tightest available method; the result carries the tag.
 
-    Survival routes go by the exact type of l, since a subclass may change
-    ``_value`` (as in ``tail_copula._survival_sum``):
+    Survival routes go by the exact type of l, which ``SurvivalEvc`` holds
+    to the families it has identities for (a subclass may change
+    ``_value``):
 
     * ``closed_mo``: Marshall-Olkin on the closed box [0, 1]^d (independence
       and comonotone are its corners), and a mixture of two of them: ``L``
@@ -891,10 +892,11 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
     Nested Archimedean trees get their closed form.  Archimax (Archimedean
     copulas included, as Archimax over independence) goes through
     ``archimax_mtcm`` (closed form when l is exchangeable, else one start
-    from the diagonal).  Everything else (other mixtures, ``MixtureTail``,
-    subclasses) runs the multi-start search of ``optimize``.  A search
-    whose simplex would hold more than 10^7 coordinates (d >= 3163) raises
-    ``EvaluationError``.
+    from the diagonal).  Everything else (other survival mixtures,
+    ``MixtureTail`` and user-defined tail copulas) runs the multi-start
+    search of ``optimize``.  So an l of a subclass reaches a search only
+    inside Archimax or a ``MixtureTail``.  A search whose simplex would
+    hold more than 10^7 coordinates (d >= 3163) raises ``EvaluationError``.
     A search or tree whose ``lambda*`` is below 1e-12 is reported as 0 with
     maximizer 1_d.
     """
@@ -920,8 +922,7 @@ def dispatch(model: TailCopulaModel, config: OptimizerConfig | None = None) -> M
         lam = model.tree.mtcm_closed()
         if lam < _DEGENERACY_EPS:
             return MtcmResult(0.0, (1.0,) * model.dim, "closed_nac", _CLOSED_FORM_DIAG)
-        b = tuple(float(v) for v in model.tree.maximizer())
-        return MtcmResult(lam, b, "closed_nac", _CLOSED_FORM_DIAG)
+        return MtcmResult(lam, model.tree.maximizer(), "closed_nac", _CLOSED_FORM_DIAG)
     if isinstance(model, Archimax):
         return archimax_mtcm(model.stdf, model.alpha, config)
     return optimize(model, config)

@@ -355,7 +355,7 @@ class NacTree:
             stack.extend(self._children[w])
         return math.exp(acc)
 
-    def maximizer(self, vertex: int = 0) -> np.ndarray:
+    def maximizer(self, vertex: int = 0) -> tuple[float, ...]:
         """Unique maximizing direction for the (sub)tree rooted at ``vertex``.
 
         Component for leaf j (entries ordered by coordinate position):
@@ -373,7 +373,7 @@ class NacTree:
 
         pos = self._leaves_below[vertex]
         rank = {p: i for i, p in enumerate(pos)}
-        out = np.empty(len(pos))
+        out = [0.0] * len(pos)
 
         def walk(v: int, acc: float) -> None:
             for w in self._children[v]:
@@ -385,7 +385,7 @@ class NacTree:
                     out[rank[self._leaf_pos[w]]] = math.exp(acc)
 
         walk(vertex, base)
-        return out
+        return tuple(out)
 
     def check_clayton_nesting(self) -> NestingReport:
         """Clayton sufficient-nesting condition: alpha never increases from a

@@ -3,7 +3,8 @@
 A stable tail dependence function l : [0, inf)^d -> [0, inf) is convex,
 1-homogeneous and bounded by ``max_j x_j <= l(x) <= sum_j x_j``.  Every model
 here supports exact-zero coordinates (with the convention ``0**p = 0`` for
-``p > 0``), which is what the sub-vector margins ``l_S`` need.
+``p > 0``), so the sub-vector margin ``l_S`` is ``l`` at the point with the
+coordinates outside S set to 0.
 
 The two extreme models, independence (``l = sum x``) and comonotonicity
 (``l = max x``), are the corners a = 0 and a = 1 of the Marshall-Olkin
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import partial, reduce
-from typing import Callable, ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -119,17 +120,12 @@ class _Ops:
     sort: Callable  # ascending, as a list
     expm1: Callable
     log1p: Callable
-    rowwise: Callable  # ``rowwise(f, x)``: f applied to x as an (n, d) array
 
 
-POINT = _Ops(
-    min, max, min, max, sum, math.fsum, sorted, math.expm1, math.log1p,
-    lambda f, x: float(f(np.array([x]))[0]),
-)
+POINT = _Ops(min, max, min, max, sum, math.fsum, sorted, math.expm1, math.log1p)
 ROWS = _Ops(
     partial(reduce, np.minimum), partial(reduce, np.maximum), np.minimum, np.maximum,
     partial(reduce, np.add), partial(reduce, np.add), _ascending_columns, np.expm1, np.log1p,
-    lambda f, x: f(x.T),
 )
 
 
@@ -177,23 +173,6 @@ class StdfModel:
     def value_batch(self, X) -> np.ndarray:
         """Evaluate l row-wise over an (n, d) array of nonnegative points."""
         return self._value_batch(_as_batch(X, self.dim))
-
-    def margin(self, x: Sequence[float], keep: Iterable[int]) -> float:
-        """Sub-vector margin l_S(x): coordinates outside ``keep`` set to 0.
-
-        ``keep`` holds 0-based coordinate indices and must be nonempty.  All
-        implemented families are continuous at the boundary, so the limit
-        defining l_S is an exact evaluation at the zeroed point.
-        """
-        xs = _as_point(x, self.dim)
-        S = set(keep)
-        if not S:
-            raise EvaluationError("margin subset must be nonempty")
-        for j in S:
-            if not 0 <= int(j) < self.dim:
-                raise EvaluationError(f"margin index {j} out of range for d={self.dim}")
-        ys = [xs[j] if j in S else 0.0 for j in range(self.dim)]
-        return self._value(ys)
 
     def params(self) -> dict:
         """JSON-ready parameter dict (excluding family and dimension)."""

@@ -5,13 +5,13 @@ nondecreasing, 1-Lipschitz in the 1-norm and bounded by ``0 <= L(x) <= min_j
 x_j``.  Four routes are implemented:
 
 * ``SurvivalEvc``: survival copula of an extreme value copula with stable tail
-  dependence function l, via the alternating sum of sub-vector margins
+  dependence function l, the alternating sum of sub-vector margins
   ``L(x) = sum_{S nonempty} (-1)^(|S|-1) l_S(x)``.  Any additive part of l
   that ignores a coordinate cancels from the sum, so each family of l takes
   an identity (listed under ``SurvivalEvc``; the logistic and Tawn I share
   one sum paired on the smallest coordinate, Tawn II takes a sum of three
-  bivariate survival logistics); only an l of another type sums its
-  ``2^d - 1`` margins one by one;
+  bivariate survival logistics), and only l built from these families is
+  accepted;
 * ``Archimax``: generator with regular-variation index a > 0 plus an l,
   ``L(x) = l(x_1**(-1/a), ..., x_d**(-1/a)) ** (-a)``.  An Archimedean
   copula with a regularly varying generator is the case l = independence
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ __all__ = [
     "rv_index",
 ]
 
-MAX_SUBSET_DIM = 20  # the logistic sum has 2^(d-1) terms, the subset loop 2^d - 1
+MAX_SUBSET_DIM = 20  # caps a logistic l: its survival sum has 2^(d-1) terms
 MAX_TRANSFORM_DEPTH = 200  # generator descriptors are resolved recursively
 
 # round-off from the alternating sum: clamp small negatives, reject anything
@@ -54,24 +53,12 @@ MAX_TRANSFORM_DEPTH = 200  # generator descriptors are resolved recursively
 _CLAMP_REL = 1e-9
 
 # ``value`` scales a point with an entry above 2^960 down by a power of two;
-# below it, 2^20 margins of at most 20 max_j x_j each cannot overflow a sum
+# below it no route overflows: the survival logistic's largest intermediates
+# are its norms ``||x_S||_s``, at most 20 max_j x_j, and the partial sums of
+# its 2^19 terms, at most 2^19 min_j x_j, both below 2^979; Tawn II's norms
+# are at most 2 max_j x_j; Archimax evaluates l, and NAC its powers, at
+# ratios in [0, 1]
 _RESCALE_EXP = 960
-
-
-def _neumaier(terms) -> np.ndarray:
-    """Row-wise Neumaier-compensated sum of an iterable of arrays, for the
-    subset loop, whose margins cancel almost completely near independence.
-    Each step's rounding error is Knuth's branch-free two-sum, equal to
-    Neumaier's branch on ``|s| >= |term|`` and far cheaper than
-    ``np.where``."""
-    terms = iter(terms)
-    s, comp = next(terms), 0.0
-    for term in terms:
-        t = s + term
-        z = t - s
-        comp += (s - (t - z)) + (term - z)
-        s = t
-    return s + comp
 
 
 def _logistic_terms(x, s: float, ops: _Ops):
@@ -134,24 +121,6 @@ def _logistic_sum(x, s: float, ops: _Ops):
     return ops.fsum(_logistic_terms(ops.sort(x), s, ops))
 
 
-def _subset_sum(stdf: StdfModel, X: np.ndarray) -> np.ndarray:
-    """Row-wise alternating sum over the nonempty subset bitmasks, for an l
-    that no identity covers."""
-    bits = np.arange(X.shape[1])
-    return _neumaier(
-        (1 if bin(m).count("1") & 1 else -1) * stdf._value_batch(X * ((m >> bits) & 1))
-        for m in range(1, 1 << X.shape[1])
-    )
-
-
-def _needs_subsets(stdf: StdfModel) -> bool:
-    """Whether some component of l takes a route whose term count grows as
-    2^d."""
-    if type(stdf) is Mixture:
-        return _needs_subsets(stdf.first) or _needs_subsets(stdf.second)
-    return type(stdf) is not MarshallOlkin
-
-
 def _nested_sum(x, s: float, p: float, ops: _Ops):
     """Survival nested logistic ``N(x; s, p) = P(x1, x3) + P(x2, x3) - P(u,
     x3)``, ``u = ||(x1, x2)||_p``; Tawn II's survival sum is ``phi N(x; s,
@@ -177,12 +146,13 @@ def _survival_sum(stdf: StdfModel, x, ops: _Ops):
     """Alternating margin sum of ``stdf`` at ``x``, unclamped: one point
     under ``POINT``, the columns of an (n, d) array under ``ROWS``.
 
-    Routed by the exact type of ``stdf``, since a subclass may change
-    ``_value`` and with it the identity; ``SurvivalEvc`` lists the routes.
-    Each identity drops the additive parts of l that ignore a coordinate:
-    subsets with and without that coordinate give the same margin with
-    opposite signs.  The logistic and Tawn I reduce to ``_logistic_sum``,
-    Tawn II to ``_nested_sum``.
+    Routed by the exact type of ``stdf``, which ``SurvivalEvc`` holds to the
+    families with an identity (a subclass may change ``_value`` and with it
+    the identity, so it is rejected there); ``SurvivalEvc`` lists the
+    routes.  Each identity drops the additive parts of l that ignore a
+    coordinate: subsets with and without that coordinate give the same
+    margin with opposite signs.  The logistic and Tawn I reduce to
+    ``_logistic_sum``, Tawn II to ``_nested_sum``.
     """
     kind = type(stdf)
     if kind is MarshallOlkin:
@@ -196,9 +166,26 @@ def _survival_sum(stdf: StdfModel, x, ops: _Ops):
         return _logistic_sum(x, stdf.s, ops)
     if kind is TawnTypeI:  # the trivariate survival logistic at theta * x
         return _logistic_sum([t * v for t, v in zip(stdf.theta, x)], stdf.s, ops)
-    if kind is TawnTypeII:
-        return stdf.phi * _nested_sum(x, stdf.s, stdf.r * stdf.s, ops)
-    return ops.rowwise(partial(_subset_sum, stdf), x)
+    return stdf.phi * _nested_sum(x, stdf.s, stdf.r * stdf.s, ops)  # TawnTypeII
+
+
+def _check_survival_l(stdf) -> None:
+    """Reject an l that is not a tree of ``Mixture`` nodes over Marshall-Olkin,
+    logistic, Tawn I and Tawn II leaves, each of that exact type, or whose
+    logistic leaf has more than ``MAX_SUBSET_DIM`` coordinates."""
+    kind = type(stdf)
+    if kind is Mixture:
+        _check_survival_l(stdf.first)
+        _check_survival_l(stdf.second)
+        return
+    _check_param(
+        kind in (MarshallOlkin, Logistic, TawnTypeI, TawnTypeII),
+        f"the survival route has no identity for an l of type {kind.__name__}",
+    )
+    _check_param(
+        kind is not Logistic or stdf.dim <= MAX_SUBSET_DIM,
+        f"the survival logistic sum has 2^(d-1) - 1 terms; d={stdf.dim} exceeds {MAX_SUBSET_DIM}",
+    )
 
 
 @dataclass(frozen=True)
@@ -261,7 +248,8 @@ class TailCopulaModel:
 class SurvivalEvc(TailCopulaModel):
     """Survival route: alternating sum of the 2^d - 1 sub-vector margins.
 
-    The sum is routed by the exact type of l (see ``_survival_sum``):
+    The sum is routed by the exact type of l (see ``_survival_sum``), each
+    family by an identity:
 
     * Marshall-Olkin: ``L(x) = min_j a_j x_j`` in O(d), because the linear
       part of l cancels and max-min inclusion-exclusion turns the max part
@@ -286,16 +274,16 @@ class SurvivalEvc(TailCopulaModel):
       nested logistic (Tawn, Biometrika 1990), summed as three bivariate
       survival logistics (``_nested_sum``).
 
-    Any other l (a subclass, or a user-defined l) sums its margins over the
-    subset bitmasks.  Only routes whose term count grows as 2^d cap d at
-    ``MAX_SUBSET_DIM``; Marshall-Olkin l, and mixtures of them, take any d.
+    Any other l, a subclass of these families included (it may change
+    ``_value`` and with it the identity), raises ``SpecError``, as does a
+    logistic l, anywhere in a mixture, with d above ``MAX_SUBSET_DIM``;
+    Marshall-Olkin l, and mixtures of them, take any d.
 
     The Marshall-Olkin, logistic and Tawn I routes round at the scale of
-    ``min_j x_j``.  Two still round above it far from the diagonal: Tawn II
+    ``min_j x_j``.  Tawn II still rounds above it far from the diagonal,
     when x1 or x2 is the smallest coordinate (at the scale of the middle
-    one), and the subset loop at the scale of its largest margin.  The sum
-    is projected into ``[0, min_j x_j]``, where the true value lies.  A sum
-    below -1e-9 ``max(1, sum_j x_j)`` raises.
+    one).  The sum is projected into ``[0, min_j x_j]``, where the true
+    value lies.  A sum below -1e-9 ``max(1, sum_j x_j)`` raises.
     """
 
     stdf: StdfModel
@@ -303,11 +291,7 @@ class SurvivalEvc(TailCopulaModel):
     family: ClassVar[str] = "survival_evc"
 
     def __post_init__(self) -> None:
-        _check_param(isinstance(self.stdf, StdfModel), "stdf must be an StdfModel")
-        _check_param(
-            self.stdf.dim <= MAX_SUBSET_DIM or not _needs_subsets(self.stdf),
-            f"survival route needs 2^d - 1 margin terms; d={self.stdf.dim} exceeds {MAX_SUBSET_DIM}",
-        )
+        _check_survival_l(self.stdf)
 
     @property
     def dim(self) -> int:

@@ -1,8 +1,8 @@
 """Independent oracles and random-model helpers shared by the test modules.
 
 Everything here is deliberately written as flat arithmetic over plain floats,
-independent of the package's evaluation paths (subset identities,
-compensated summation, log-space products), so agreement is meaningful.
+independent of the package's evaluation paths (subset identities, paired
+sums, log-space products), so agreement is meaningful.
 The grid-oracle reference is the exception: it evaluates the model's own
 ``value_batch`` at every lattice point, to pin the oracle's skipping of
 points to the full scan's result bit for bit.
@@ -38,13 +38,6 @@ def naive_survival_tail(stdf, x):
 def mo_stdf_value(alpha, x):
     return math.fsum((1.0 - a) * v for a, v in zip(alpha, x)) + max(
         a * v for a, v in zip(alpha, x)
-    )
-
-
-def mo_margin(alpha, x, keep):
-    keep = sorted(keep)
-    return math.fsum((1.0 - alpha[j]) * x[j] for j in keep) + max(
-        alpha[j] * x[j] for j in keep
     )
 
 

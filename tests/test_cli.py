@@ -510,7 +510,7 @@ def test_mtcm_on_corners_is_closed_form(write_json, capsys, family, lam):
 
 
 def test_mtcm_closed_mo_beyond_subset_cap(write_json, capsys):
-    # the survival MO route is O(d), so the 2^d - 1 subset cap does not apply
+    # the survival MO route is O(d): the cap on the logistic's 2^(d-1) - 1 terms does not apply
     spec = {"family": "marshall_olkin", "dimension": 21, "params": {"alpha": [0.5] * 21}}
     code, out, err = run(capsys, "mtcm", "--model", write_json("mo21.json", spec), "--format", "json")
     assert (code, err) == (0, "")

@@ -317,16 +317,6 @@ def test_mo_mixture_rejects_bad_parameters():
             closed_form_mo_mixture(*args)
 
 
-def test_mo_mixture_with_subclass_component_keeps_search():
-    class Shock(MarshallOlkin):
-        pass
-
-    model = SurvivalEvc(Mixture(0.5, Shock((0.2, 0.5, 0.8)), MarshallOlkin((0.7, 0.3, 0.4))))
-    r = dispatch(model, FAST)
-    assert r.method == "optimizer"
-    assert r.diagnostics.starts_used == FAST.starts + 1
-
-
 # ---------------------------------------------------------------------------
 # diagonal-only search for the log-concave survival logistic and Tawn I
 # ---------------------------------------------------------------------------
@@ -387,15 +377,6 @@ def test_survival_tawn1_with_zero_weight_is_degenerate():
     assert r.method == "optimizer"
     assert r.diagnostics.starts_used == 1
     assert (r.lambda_star, r.b_star) == (0.0, (1.0, 1.0, 1.0))
-
-
-def test_logistic_subclass_keeps_multi_start_search():
-    class Gumbel(Logistic):
-        pass
-
-    r = dispatch(SurvivalEvc(Gumbel(2.0, 3)))
-    assert r.method == "optimizer"
-    assert r.diagnostics.starts_used == OptimizerConfig().starts + 1
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +494,6 @@ def test_survival_logistic_mo_mixture_edge_weights_and_zero_parameter():
         assert (r.method, r.diagnostics.starts_used) == ("optimizer", 1)
         assert_allclose(r.lambda_star, 0.3 * _logistic_diagonal(d, s), rtol=0, atol=1e-9)
         assert_allclose(r.b_star, (1.0,) * d, rtol=0, atol=1e-6)
-
-
-def test_survival_logistic_mo_mixture_with_subclass_component_keeps_search():
-    class Gumbel(Logistic):
-        pass
-
-    class Shock(MarshallOlkin):
-        pass
-
-    for stdf in (Mixture(0.5, Gumbel(2.0, 3), MarshallOlkin((0.2, 0.5, 0.8))),
-                 Mixture(0.5, Logistic(2.0, 3), Shock((0.2, 0.5, 0.8)))):
-        r = dispatch(SurvivalEvc(stdf), FAST)
-        assert r.method == "optimizer"
-        assert r.diagnostics.starts_used == FAST.starts + 1
 
 
 def test_curve_routes_spend_at_most_max_evals():

@@ -19,7 +19,7 @@ from tailmax import (
     validate_stdf,
 )
 
-from _support import mo_margin, mo_stdf_value
+from _support import mo_stdf_value
 
 # independently computed: 3 ** (1 / 1.59)
 LOGISTIC_159_AT_ONES = 1.9956127079090119
@@ -134,20 +134,24 @@ def test_bad_points_rejected(x):
 
 
 # ---------------------------------------------------------------------------
-# margins
+# margins: l_S is l at the point with the coordinates outside S set to 0
 # ---------------------------------------------------------------------------
 
+def _zeroed(x, keep):
+    return [v if j in keep else 0.0 for j, v in enumerate(x)]
+
+
 def test_independence_margin_sums_over_subset():
-    assert Independence(3).margin([1.0, 2.0, 3.0], [0, 2]) == 4.0
+    assert Independence(3).value(_zeroed([1.0, 2.0, 3.0], [0, 2])) == 4.0
 
 
 def test_comonotone_singleton_margin():
-    assert Comonotone(3).margin([1.0, 2.0, 3.0], [1]) == 2.0
+    assert Comonotone(3).value(_zeroed([1.0, 2.0, 3.0], [1])) == 2.0
 
 
 def test_marshall_olkin_margin_hand_value():
     m = MarshallOlkin((0.2, 0.5, 0.8))
-    assert_allclose(m.margin([1.0, 1.0, 1.0], [0, 1]), 1.8, rtol=1e-15)
+    assert_allclose(m.value(_zeroed([1.0, 1.0, 1.0], [0, 1])), 1.8, rtol=1e-15)
 
 
 def test_marshall_olkin_margin_matches_hand_formula():
@@ -157,7 +161,8 @@ def test_marshall_olkin_margin_matches_hand_formula():
     for _ in range(30):
         x = rng.uniform(0.2, 3.0, 4)
         keep = rng.choice(4, size=int(rng.integers(1, 5)), replace=False).tolist()
-        assert_allclose(m.margin(x, keep), mo_margin(alpha, x, keep), rtol=1e-14)
+        y = _zeroed(x, keep)
+        assert_allclose(m.value(y), mo_stdf_value(alpha, y), rtol=1e-14)
 
 
 @pytest.mark.parametrize("model", ALL_FAMILIES)
@@ -166,12 +171,7 @@ def test_singleton_margins_are_identity(model):
     for _ in range(20):
         x = rng.uniform(0.1, 10.0, model.dim)
         for j in range(model.dim):
-            assert abs(model.margin(x, [j]) - x[j]) <= 1e-12 * max(1.0, x[j])
-
-
-def test_empty_margin_rejected():
-    with pytest.raises(EvaluationError):
-        Independence(3).margin([1.0, 1.0, 1.0], [])
+            assert abs(model.value(_zeroed(x, [j])) - x[j]) <= 1e-12 * max(1.0, x[j])
 
 
 # ---------------------------------------------------------------------------

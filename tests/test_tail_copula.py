@@ -304,38 +304,58 @@ def test_rejects_negative_and_nonfinite():
 
 
 def test_survival_dimension_cap():
-    # only a route that enumerates the 2^d - 1 subsets is capped
+    # only a logistic l, wherever it sits in a mixture, sums 2^(d-1) - 1 terms
     with pytest.raises(SpecError):
         SurvivalEvc(Logistic(2.0, 21))
     with pytest.raises(SpecError):
         SurvivalEvc(Mixture(0.5, Independence(21), Logistic(2.0, 21)))
+    with pytest.raises(SpecError):
+        SurvivalEvc(Mixture(0.5, Independence(21), Mixture(0.5, Comonotone(21), Logistic(2.0, 21))))
     SurvivalEvc(Logistic(2.0, 20))  # at the cap: fine
     SurvivalEvc(Independence(21))
     SurvivalEvc(Mixture(0.5, MarshallOlkin((0.5,) * 21), Comonotone(21)))
+    SurvivalEvc(Mixture(0.5, Independence(21), Mixture(0.5, Comonotone(21), MarshallOlkin((0.5,) * 21))))
     assert SurvivalEvc(MarshallOlkin((0.5,) * 21)).diagonal() == 0.5
 
 
-def test_survival_flags_inconsistent_margins():
-    # a deliberately broken "function" whose full-set value is inflated makes
-    # the alternating sum land far below zero: that is a bug, not round-off
-    # a subclass of the independence corner: routed by exact type, it takes
-    # the generic subset sum of its (altered) margins
-    class Inconsistent(MarshallOlkin):
-        def _value(self, xs):
-            full = all(v > 0.0 for v in xs)
-            return (2.0 if full else 1.0) * super()._value(xs)
+def _subclass(family):
+    return type(f"My{family.__name__}", (family,), {})
 
-        def _value_batch(self, X):
-            full = np.all(X > 0.0, axis=1)
-            return np.where(full, 2.0, 1.0) * super()._value_batch(X)
 
-    tc = SurvivalEvc(Inconsistent((0.0, 0.0)))
-    from tailmax import NumericalError
+@pytest.mark.parametrize(
+    "stdf",
+    [
+        _subclass(Logistic)(2.0, 3),
+        _subclass(MarshallOlkin)((0.2, 0.5, 0.8)),
+        _subclass(TawnTypeI)(s=2.48, r=1.5, theta=(0.6, 0.3, 0.4)),
+        _subclass(TawnTypeII)(s=1.59, r=1.27, t=3.0, phi=0.5),
+        Mixture(0.5, Logistic(2.0, 3),
+                Mixture(0.5, MarshallOlkin((0.2, 0.5, 0.8)), _subclass(MarshallOlkin)((0.7, 0.3, 0.4)))),
+        Archimax(Logistic(2.0, 3), 1.0),  # not an l at all
+    ],
+    ids=["logistic", "marshall_olkin", "tawn1", "tawn2", "nested_mixture", "not_stdf"],
+)
+def test_survival_rejects_l_without_identity(stdf):
+    # a subclass may change _value, and with it the identity of its family
+    with pytest.raises(SpecError):
+        SurvivalEvc(stdf)
 
+
+def test_survival_flags_inconsistent_margins(monkeypatch):
+    # a sum far below zero is a bug, not round-off; a tiny negative one clamps
+    from tailmax import NumericalError, tail_copula
+
+    tc = SurvivalEvc(Logistic(2.0, 2))
+    X = np.array([[1.0, 1.0], [2.0, 3.0]])
+    far = -1e-9 * 5.0 * 1.01  # beyond -1e-9 max(1, sum x) on the row (2, 3)
+    monkeypatch.setattr(tail_copula, "_survival_sum", lambda stdf, x, ops: far + 0.0 * x[0])
     with pytest.raises(NumericalError):
-        tc.value([1.0, 1.0])
+        tc.value([2.0, 3.0])
     with pytest.raises(NumericalError):
-        tc.value_batch(np.array([[1.0, 1.0]]))
+        tc.value_batch(X)
+    monkeypatch.setattr(tail_copula, "_survival_sum", lambda stdf, x, ops: -1e-12 + 0.0 * x[0])
+    assert tc.value([2.0, 3.0]) == 0.0
+    assert tc.value_batch(X).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
